@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Rat = Fraction
+
+_ZERO = Fraction(0)
 
 POLYNOMIAL_FAMILIES = frozenset({"x", "b", "zeta", "xi"})
 LAURENT_FAMILIES = frozenset({"a"})
@@ -49,6 +52,19 @@ def grlex_key(exponents: Sequence[int]):
     return (sum(exponents), tuple(exponents))
 
 
+def add_term(terms: dict, key: Hashable, coeff: Rat) -> None:
+    """Accumulate `coeff` into a sparse term map, in place.
+
+    A key whose coefficient cancels to zero is dropped at once, so the map
+    never holds zeros and never needs a pruning pass.
+    """
+    value = terms.get(key, _ZERO) + coeff
+    if value:
+        terms[key] = value
+    elif key in terms:
+        del terms[key]
+
+
 class SparsePoly:
     """Sparse polynomial (Laurent in the "a" family) with Rat coefficients.
 
@@ -74,11 +90,7 @@ class SparsePoly:
             if not allow_negative and any(e < 0 for e in key):
                 raise FamilyError(
                     f"negative exponent {key} not allowed in family {family!r}")
-            value = canonical.get(key, _ZERO) + as_rat(coeff)
-            if value:
-                canonical[key] = value
-            elif key in canonical:
-                del canonical[key]
+            add_term(canonical, key, as_rat(coeff))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", canonical)
@@ -156,11 +168,7 @@ class SparsePoly:
         self._check_compatible(other)
         merged = dict(self.terms)
         for exp, coeff in other.terms.items():
-            value = merged.get(exp, _ZERO) + coeff
-            if value:
-                merged[exp] = value
-            elif exp in merged:
-                del merged[exp]
+            add_term(merged, exp, coeff)
         return _raw_poly(self.family, self.arity, merged)
 
     __radd__ = __add__
@@ -188,12 +196,7 @@ class SparsePoly:
         out: dict[tuple[int, ...], Rat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(u + v for u, v in zip(e1, e2))
-                value = out.get(key, _ZERO) + c1 * c2
-                if value:
-                    out[key] = value
-                elif key in out:
-                    del out[key]
+                add_term(out, tuple(u + v for u, v in zip(e1, e2)), c1 * c2)
         return _raw_poly(self.family, self.arity, out)
 
     __rmul__ = __mul__
@@ -246,12 +249,7 @@ class SparsePoly:
             e = exp[index]
             if e == 0:
                 continue
-            key = exp[:index] + (e - 1,) + exp[index + 1:]
-            value = out.get(key, _ZERO) + coeff * e
-            if value:
-                out[key] = value
-            elif key in out:
-                del out[key]
+            add_term(out, exp[:index] + (e - 1,) + exp[index + 1:], coeff * e)
         return _raw_poly(self.family, self.arity, out)
 
     def evaluate(self, point: Sequence[int | Rat]) -> Rat:
@@ -287,9 +285,6 @@ def _raw_poly(family: str, arity: int,
     object.__setattr__(poly, "arity", arity)
     object.__setattr__(poly, "terms", terms)
     return poly
-
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +373,7 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
     mat: list[list[int]] = []
     trace: list[list[Rat]] = []
     for r, (coeffs, rhs) in enumerate(system.rows):
-        denom_lcm = 1
-        for value in (*coeffs, rhs):
-            denom_lcm = denom_lcm * value.denominator // _gcd(denom_lcm, value.denominator)
+        denom_lcm = lcm(*(value.denominator for value in (*coeffs, rhs)))
         mat.append([int(c * denom_lcm) for c in (*coeffs, rhs)])
         row_t = [_ZERO] * nrows
         row_t[r] = Fraction(denom_lcm)
@@ -420,7 +413,9 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
 
     for r in range(pivot_row, nrows):
         if mat[r][ncols] != 0:
-            assert all(mat[r][j] == 0 for j in range(ncols))
+            if any(mat[r][j] for j in range(ncols)):
+                raise AssertionError(
+                    f"row {r} below the last pivot has nonzero coefficients")
             reduced = sum((m * b for m, (_, b) in zip(trace[r], system.rows)),
                           start=_ZERO)
             return Inconsistent(combo=tuple(trace[r]), reduced_rhs=reduced)
@@ -454,9 +449,3 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
 
 def _unit_vector(length: int, index: int) -> tuple[Rat, ...]:
     return tuple(Fraction(1) if j == index else _ZERO for j in range(length))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1

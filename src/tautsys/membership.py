@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
 
-from .exact import (Inconsistent, LinearSystem, Rat, Solution, SparsePoly,
-                    as_rat, grlex_key, solve_exact)
-from .model import ModelSpec, SpanReport, monomials_of_degree
+from .exact import (Inconsistent, LinearSystem, Rat, SparsePoly, as_rat,
+                    grlex_key, solve_exact)
+from .model import (ModelSpec, SpanReport, monomials_of_degree,
+                    multiplication_surjectivity)
 
 _ZERO = Fraction(0)
 
@@ -125,14 +124,6 @@ def derivative_query(spec: ModelSpec, alpha) -> MembershipQuery:
     return MembershipQuery.of(spec, poly, alpha=alpha)
 
 
-def _divergence_image(spec: ModelSpec, point: SectionPoint, i: int,
-                      monomial: tuple[int, ...]) -> SparsePoly:
-    """Image of the unit coefficient q_i = x^monomial."""
-    q = SparsePoly.monomial("x", spec.d + 1, monomial)
-    f = section_polynomial(spec, point)
-    return q.partial_derivative(i) + q * f.partial_derivative(i)
-
-
 def membership_test(spec: ModelSpec, point: SectionPoint,
                     query: MembershipQuery) -> Member | NonMember:
     """Decide the divergence identity exactly.
@@ -173,7 +164,6 @@ def membership_test(spec: ModelSpec, point: SectionPoint,
     outcome = solve_exact(system)
     if isinstance(outcome, Inconsistent):
         return NonMember(system=system, witness=outcome)
-    assert isinstance(outcome, Solution)
     parts = [dict() for _ in range(spec.d + 1)]
     for (i, mono), value in zip(columns, outcome.values):
         if value:
@@ -219,20 +209,12 @@ def scan_family(spec: ModelSpec, query: MembershipQuery,
 def filtration_generators(spec: ModelSpec, p: int) -> SpanReport:
     """Do (p-1)-fold products of the basis monomials span their degree?
 
-    The span of a monomial set is free on the distinct exponents, so the
-    rank is the count of distinct (p-1)-fold exponent sums, compared with
-    the dimension of the full degree-(p-1)(d+1) space.
+    Every monomial of degree (p-2)(d+1) is a product of p-2 basis
+    monomials (cut its sorted variable word into blocks of d+1), so the
+    (p-1)-fold products are the multiplication span for the powers
+    (p-2, 1), with (0, 0) at p = 1.  That span's bound k + l <= 4 gives
+    p <= 5.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    nvars = spec.d + 1
-    products = set()
-    for combo in combinations_with_replacement(range(spec.n), p - 1):
-        total = [0] * nvars
-        for i in combo:
-            for row in range(nvars):
-                total[row] += spec.basis[i][row]
-        products.add(tuple(total))
-    expected = comb((p - 1) * (spec.d + 1) + spec.d, spec.d)
-    return SpanReport(surjective=len(products) == expected,
-                      rank=len(products), expected=expected)
+    return multiplication_surjectivity(spec, max(p - 2, 0), min(p - 1, 1))

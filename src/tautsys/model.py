@@ -106,7 +106,9 @@ def build_projective_model(d: int, ordering: str = "grlex") -> ModelSpec:
     else:
         basis = tuple(monos)
     n = len(basis)
-    assert n == comb(2 * d + 1, d)
+    if n != comb(2 * d + 1, d):
+        raise AssertionError(f"basis of P^{d} has {n} monomials, "
+                             f"expected {comb(2 * d + 1, d)}")
     i0 = basis.index((1,) * (d + 1))
     return ModelSpec(d=d, n=n, basis=basis, i0=i0, ordering=ordering)
 

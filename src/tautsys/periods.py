@@ -20,7 +20,7 @@ from math import factorial
 
 from .exact import Rat, SparsePoly
 from .model import ModelSpec
-from .series import LaurentSeries
+from .series import LaurentSeries, min_truncation
 from .systems import ComponentKey, DiffSystem, VectorSolution
 
 
@@ -96,7 +96,6 @@ def derivative_generating_series(base: LaurentSeries, p: int,
             b_exp[i] += 1
         piece = derived.scale(weight).mul_b_monomial(b_exp)
         total = piece if total is None else total + piece
-    assert total is not None
     return total.pruned_to(order)
 
 
@@ -145,11 +144,7 @@ def derivative_vector_solution(base: LaurentSeries, p: int) -> VectorSolution:
         for l in range(n):
             for k in range(n):
                 components[(l, k)] = base.derivative_a(l).derivative_a(k)
-    truncs = [s.truncation for s in components.values()]
-    common = None
-    for t in truncs:
-        if t is not None:
-            common = t if common is None else min(common, t)
+    common = min_truncation(*(s.truncation for s in components.values()))
     components = {key: s.pruned_to(common) for key, s in components.items()}
     return VectorSolution(n=n, p=p, components=components)
 
@@ -190,7 +185,6 @@ def verify_annihilation(system: DiffSystem,
     below zero, in which case the zero flags are vacuous.
     """
     entries = []
-    orders = []
     for label, op in system.labelled():
         residual = op.apply(series)
         entries.append(ResidualEntry(
@@ -198,15 +192,10 @@ def verify_annihilation(system: DiffSystem,
             residual=residual,
             zero=residual.is_zero(),
             verified_order=residual.truncation))
-        orders.append(residual.truncation)
-    verified = None
-    for t in orders:
-        if t is not None:
-            verified = t if verified is None else min(verified, t)
     return AnnihilationReport(
         entries=tuple(entries),
         all_zero=all(e.zero for e in entries),
-        verified_order=verified)
+        verified_order=min_truncation(*(e.verified_order for e in entries)))
 
 
 # ---------------------------------------------------------------------------

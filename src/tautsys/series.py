@@ -18,11 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import FamilyError, Rat, SparsePoly, as_rat, grlex_key
+from .exact import FamilyError, Rat, SparsePoly, add_term, as_rat, grlex_key
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-_ZERO = Fraction(0)
 
 
 class LaurentSeries:
@@ -46,12 +44,7 @@ class LaurentSeries:
                 raise ValueError(f"negative b-exponent: {b_key}")
             if truncation is not None and _index(a_key, i0) > truncation:
                 continue
-            key = (a_key, b_key)
-            value = canonical.get(key, _ZERO) + as_rat(coeff)
-            if value:
-                canonical[key] = value
-            elif key in canonical:
-                del canonical[key]
+            add_term(canonical, (a_key, b_key), as_rat(coeff))
         self.n = n
         self.i0 = i0
         self.terms = canonical
@@ -124,14 +117,10 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_compatible(other)
-        trunc = _min_trunc(self.truncation, other.truncation)
+        trunc = min_truncation(self.truncation, other.truncation)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            value = merged.get(key, _ZERO) + coeff
-            if value:
-                merged[key] = value
-            elif key in merged:
-                del merged[key]
+            add_term(merged, key, coeff)
         return LaurentSeries(self.n, self.i0, merged, trunc)
 
     def __neg__(self) -> "LaurentSeries":
@@ -170,12 +159,7 @@ class LaurentSeries:
             if e == 0:
                 continue
             new_a = a_exp[:index] + (e - 1,) + a_exp[index + 1:]
-            key = (new_a, b_exp)
-            value = out.get(key, _ZERO) + coeff * e
-            if value:
-                out[key] = value
-            elif key in out:
-                del out[key]
+            add_term(out, (new_a, b_exp), coeff * e)
         trunc = self.truncation
         if trunc is not None and index != self.i0:
             trunc -= 1
@@ -211,19 +195,12 @@ class LaurentSeries:
             for value, e in zip(coords, b_exp):
                 if e:
                     factor *= value ** e
-            if not factor:
-                continue
-            key = (a_exp, zero_exp)
-            total = out.get(key, _ZERO) + factor
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
+            add_term(out, (a_exp, zero_exp), factor)
         return LaurentSeries(self.n, self.i0, out, self.truncation)
 
     def pruned_to(self, truncation: int | None) -> "LaurentSeries":
         return LaurentSeries(self.n, self.i0, self.terms,
-                             _min_trunc(self.truncation, truncation))
+                             min_truncation(self.truncation, truncation))
 
     def __eq__(self, other):
         return (isinstance(other, LaurentSeries)
@@ -242,9 +219,6 @@ def _index(a_exp: tuple[int, ...], i0: int) -> int:
     return sum(a_exp) - a_exp[i0]
 
 
-def _min_trunc(left: int | None, right: int | None) -> int | None:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return min(left, right)
+def min_truncation(*truncations: int | None) -> int | None:
+    """Smallest truncation order; None (exact at every order) bounds nothing."""
+    return min((t for t in truncations if t is not None), default=None)

@@ -31,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
 
 from .exact import Rat
-from .model import LatticeRelation, ModelSpec
+from .model import LatticeRelation, ModelSpec, lie_action
 from .series import LaurentSeries
-from .weyl import (WeylOperator, coord_a, coord_b, d_a, d_b, euler_a,
+from .weyl import (WeylOperator, _unit, coord_a, coord_b, d_a, d_b, euler_a,
                    euler_b, fourier)
 
 _ZERO = Fraction(0)
@@ -64,21 +63,14 @@ def symmetry_matrix(spec: ModelSpec, k: int, l: int) -> tuple[tuple[Rat, ...], .
     """Matrix of the symmetry action on the coefficient space.
 
     Entry (i, j) multiplies a_i D_{a_j} in the first-order operator; see the
-    module docstring for the convention.
+    module docstring for the convention.  It is the transpose of the
+    derivation action of E_lk, minus the identity when k == l.
     """
-    rows = [[_ZERO] * spec.n for _ in range(spec.n)]
-    for i, exp in enumerate(spec.basis):
-        weight = exp[k]
-        if weight:
-            shifted = list(exp)
-            shifted[k] -= 1
-            shifted[l] += 1
-            j = spec.index_of(tuple(shifted))
-            rows[i][j] += weight
-    if k == l:
-        for i in range(spec.n):
-            rows[i][i] -= 1
-    return tuple(tuple(row) for row in rows)
+    derivation = lie_action(spec, l, k).matrix
+    return tuple(
+        tuple(Fraction(derivation[j][i] - (1 if k == l and i == j else 0))
+              for j in range(spec.n))
+        for i in range(spec.n))
 
 
 def _first_order_from_matrix(n: int, matrix, coord, deriv) -> WeylOperator:
@@ -330,7 +322,6 @@ def vector_residual(equation: VectorEquation,
     for key, op in equation.parts:
         piece = op.apply(solution.components[key])
         total = piece if total is None else total + piece
-    assert total is not None
     return total
 
 
@@ -373,8 +364,10 @@ def scalarize(solution: VectorSolution) -> LaurentSeries:
 def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
     """Split a scalar solution into derivative components.
 
-    Requires the input to be homogeneous of degree p in b; the p-fold
-    b-derivative picks up a factorial which is normalized away so that
+    Requires the input to be homogeneous of degree p in b.  Component k
+    (p = 1) is the coefficient of b_k; component (l, k) (p = 2) is the
+    coefficient of b_l b_k, halved when l != k because a symmetric input
+    contributes that monomial through both (l, k) and (k, l), so that
     vectorize(scalarize(v)) == v on symmetric inputs.
     """
     if p not in (1, 2):
@@ -386,37 +379,18 @@ def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
         raise ValueError(
             f"series is b-homogeneous of degree {degree}, expected {p}")
     n = series.n
-    scale = Fraction(1, factorial(p))
     components: dict[ComponentKey, LaurentSeries] = {}
     if p == 1:
         for k in range(n):
-            exponent = [0] * n
-            exponent[k] = 1
-            components[k] = series.b_coefficient(exponent)
+            components[k] = series.b_coefficient(_unit(n, k))
         return VectorSolution(n=n, p=1, components=components)
     for l in range(n):
         for k in range(n):
-            derived = series
-            for idx in (l, k):
-                derived = _b_derivative(derived, idx)
-            components[(l, k)] = derived.scale(scale)
+            exponent = [u + v for u, v in zip(_unit(n, l), _unit(n, k))]
+            coefficient = series.b_coefficient(exponent)
+            components[(l, k)] = (coefficient if l == k
+                                  else coefficient.scale(Fraction(1, 2)))
     return VectorSolution(n=n, p=2, components=components)
-
-
-def _b_derivative(series: LaurentSeries, index: int) -> LaurentSeries:
-    out: dict = {}
-    for (a_exp, b_exp), coeff in series.terms.items():
-        e = b_exp[index]
-        if e == 0:
-            continue
-        new_b = b_exp[:index] + (e - 1,) + b_exp[index + 1:]
-        key = (a_exp, new_b)
-        value = out.get(key, _ZERO) + coeff * e
-        if value:
-            out[key] = value
-        elif key in out:
-            del out[key]
-    return LaurentSeries(series.n, series.i0, out, series.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +423,9 @@ def dual_generator_families(spec: ModelSpec,
             for j in range(n):
                 value = matrix[j][i]
                 if value:
-                    key = (_unit_at(n, i), zero, _unit_at(n, j), zero)
+                    key = (_unit(n, i), zero, _unit(n, j), zero)
                     op = op + WeylOperator(n, {key: value}, dual)
-                    key = (zero, _unit_at(n, i), zero, _unit_at(n, j))
+                    key = (zero, _unit(n, i), zero, _unit(n, j))
                     op = op + WeylOperator(n, {key: value}, dual)
         op = op + WeylOperator.const(n, 2 * trace, dual)
         out.append((f"symmetry[{k},{l}]", op, False))
@@ -459,15 +433,15 @@ def dual_generator_families(spec: ModelSpec,
     euler_xi = WeylOperator.zero(n, dual)
     for i in range(n):
         euler_zeta = euler_zeta + WeylOperator(
-            n, {(_unit_at(n, i), zero, _unit_at(n, i), zero): -1}, dual)
+            n, {(_unit(n, i), zero, _unit(n, i), zero): -1}, dual)
         euler_xi = euler_xi + WeylOperator(
-            n, {(zero, _unit_at(n, i), zero, _unit_at(n, i)): -1}, dual)
+            n, {(zero, _unit(n, i), zero, _unit(n, i)): -1}, dual)
     out.append(("euler_a+2", euler_zeta + (-n + 2), True))
     out.append(("euler_b-1", euler_xi + (-n - 1), True))
     for i in range(n):
         for j in range(i + 1, n):
-            key_ij = (_unit_at(n, i), _unit_at(n, j), zero, zero)
-            key_ji = (_unit_at(n, j), _unit_at(n, i), zero, zero)
+            key_ij = (_unit(n, i), _unit(n, j), zero, zero)
+            key_ji = (_unit(n, j), _unit(n, i), zero, zero)
             op = (WeylOperator(n, {key_ij: 1}, dual)
                   - WeylOperator(n, {key_ji: 1}, dual))
             out.append((f"mixed[{i},{j}][]", op, True))
@@ -505,7 +479,3 @@ def fourier_matches_dual(spec: ModelSpec,
         lines.append(f"{label}: {'match' if ok else 'MISMATCH'}")
         all_ok = all_ok and ok
     return all_ok, lines
-
-
-def _unit_at(n: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if i == index else 0 for i in range(n))

@@ -26,15 +26,13 @@ from itertools import product
 from math import comb
 from typing import Mapping
 
-from .exact import FamilyError, Rat, SparsePoly, as_rat
+from .exact import FamilyError, Rat, SparsePoly, add_term, as_rat
 from .series import LaurentSeries
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 FAMILY_PAIRS = (("a", "b"), ("zeta", "xi"))
 DUAL_PAIR = {("a", "b"): ("zeta", "xi"), ("zeta", "xi"): ("a", "b")}
-
-_ZERO = Fraction(0)
 
 
 class WeylOperator:
@@ -54,11 +52,7 @@ class WeylOperator:
                 raise ValueError("term key must hold four length-n tuples")
             if any(e < 0 for part in key for e in part):
                 raise ValueError("operator exponents must be non-negative")
-            value = canonical.get(key, _ZERO) + as_rat(coeff)
-            if value:
-                canonical[key] = value
-            elif key in canonical:
-                del canonical[key]
+            add_term(canonical, key, as_rat(coeff))
         self.n = n
         self.families = tuple(families)
         self.terms = canonical
@@ -147,11 +141,7 @@ class WeylOperator:
         self._check_compatible(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            value = merged.get(key, _ZERO) + coeff
-            if value:
-                merged[key] = value
-            elif key in merged:
-                del merged[key]
+            add_term(merged, key, coeff)
         return _raw(self.n, self.families, merged)
 
     __radd__ = __add__
@@ -291,11 +281,7 @@ def compose(left: WeylOperator, right: WeylOperator) -> WeylOperator:
                         tuple(a - k + b for a, b, k in zip(d1, f1, k1)),
                         tuple(a - k + b for a, b, k in zip(d2, f2, k2)),
                     )
-                    value = out.get(key, _ZERO) + coeff
-                    if value:
-                        out[key] = value
-                    elif key in out:
-                        del out[key]
+                    add_term(out, key, coeff)
     return _raw(n, left.families, out)
 
 
@@ -355,11 +341,7 @@ def apply_operator(op: WeylOperator,
                 tuple(m - g + c for m, g, c in zip(a_exp, d1, c1)),
                 tuple(q - g + c for q, g, c in zip(b_exp, d2, c2)),
             )
-            value = out.get(key, _ZERO) + oc * sc * factor
-            if value:
-                out[key] = value
-            elif key in out:
-                del out[key]
+            add_term(out, key, oc * sc * factor)
     return LaurentSeries(target.n, target.i0, out, truncation)
 
 

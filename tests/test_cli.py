@@ -2,7 +2,13 @@
 
 import json
 
+import pytest
+
+import tautsys.cli
+import tautsys.membership
 from tautsys.cli import main
+from tautsys.exact import Inconsistent
+from tautsys.membership import NonMember
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +120,57 @@ def test_resource_bounds_rejected(capsys):
     code, _, err = run_cli(capsys, "verify-periods", "--d", "1", "--p", "9",
                            "--order", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "surjectivity --d 2 --k 3 --l 3",
+    "membership --d 1 --fermat --monomial a,b",
+    "membership --d 1 --fermat --monomial 1,2",
+    "scan --d 1 --alpha e0 --line 0,1,1;0,0,0;1,2",
+    "build-system --d 1 --out /nonexistent/x.json",
+    "surjectivity --d 1 --k 1 --l 1 --filtration 0",
+    "surjectivity --d 1 --k 1 --l 1 --filtration 6",
+    "membership --d 1 --point 0,0,0 --alpha e0",
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(" "))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _zeroed(witness):
+    return Inconsistent(combo=(0,) * len(witness.combo),
+                        reduced_rhs=witness.reduced_rhs)
+
+
+def _doubled(witness):
+    return Inconsistent(combo=tuple(2 * c for c in witness.combo),
+                        reduced_rhs=witness.reduced_rhs)
+
+
+@pytest.mark.parametrize("tamper", [_zeroed, _doubled])
+@pytest.mark.parametrize("argv", [
+    "membership --d 1 --fermat --alpha e1",
+    "scan --d 1 --alpha e0 --line 0,1,1;1,0,0;0,1,2",
+])
+def test_tampered_witness_fails_the_verdict(capsys, monkeypatch, argv,
+                                            tamper):
+    honest = tautsys.membership.membership_test
+
+    def tampered(*args):
+        result = honest(*args)
+        if isinstance(result, NonMember):
+            return NonMember(result.system, tamper(result.witness))
+        return result
+
+    # the membership command calls the cli binding, scan_family its own
+    monkeypatch.setattr(tautsys.cli, "membership_test", tampered)
+    monkeypatch.setattr(tautsys.membership, "membership_test", tampered)
+    code, out, _ = run_cli(capsys, *argv.split(" "))
+    assert code == 1
+    assert "non-member" in out
+    assert out.endswith("verdict: FAIL\n")
 
 
 def test_unparseable_alpha_rejected(capsys):

@@ -1,6 +1,7 @@
 """Membership certificates, their audits, and the span checks."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,7 +11,8 @@ from tautsys.membership import (Member, MembershipCertificate,
                                 derivative_query, filtration_generators,
                                 membership_test, scan_family,
                                 section_polynomial, verify_certificate)
-from tautsys.model import build_projective_model, fermat_point
+from tautsys.model import (ResourceBoundError, build_projective_model,
+                           fermat_point)
 from tautsys.periods import fermat_derivative_check_p1
 
 
@@ -265,6 +267,14 @@ def test_filtration_generators_ladder(line, plane):
     assert report.surjective and report.rank == 5
     report = filtration_generators(plane, 3)
     assert report.surjective and report.rank == 28
+    for d in (1, 2, 3):
+        spec = build_projective_model(d)
+        for p in range(1, 6):
+            report = filtration_generators(spec, p)
+            expected = comb((p - 1) * (d + 1) + d, d)
+            assert report.rank == report.expected == expected, (d, p)
+        with pytest.raises(ResourceBoundError):
+            filtration_generators(spec, 6)
 
 
 def test_section_point_must_be_nonzero():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautsys.model import build_projective_model, lattice_relations
-from tautsys.periods import derivative_vector_solution, period_series
+from tautsys.periods import (derivative_generating_series,
+                             derivative_vector_solution, period_series)
 from tautsys.series import LaurentSeries
 from tautsys.systems import (UnsupportedOrderError, VectorSolution,
                              build_scalar_system, build_tautological_system,
@@ -94,6 +95,28 @@ def test_grading_operator_kills_bihomogeneous_monomials(line):
         assert grading.apply(monomial).is_zero()
         b_grading = dict(system.labelled())[f"euler_b-{p}"]
         assert b_grading.apply(monomial).is_zero()
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_symmetry_matrix_matches_module_definition(d, ordering):
+    """Entry (i, j) is (m_i)_k when m_j = m_i - e_k + e_l, minus delta_kl
+    on the diagonal, exactly as the module docstring states."""
+    spec = build_projective_model(d, ordering=ordering)
+    for k in range(d + 1):
+        for l in range(d + 1):
+            expected = [[Fraction(0)] * spec.n for _ in range(spec.n)]
+            for i, m in enumerate(spec.basis):
+                if m[k]:
+                    shifted = list(m)
+                    shifted[k] -= 1
+                    shifted[l] += 1
+                    expected[i][spec.index_of(tuple(shifted))] += m[k]
+                if k == l:
+                    expected[i][i] -= 1
+            got = symmetry_matrix(spec, k, l)
+            assert got == tuple(tuple(row) for row in expected), (k, l)
+            assert all(type(v) is Fraction for row in got for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +248,16 @@ def test_roundtrip_p2_on_symmetric_input(line):
     back = vectorize(scalarize(solution), 2)
     for key, series in solution.components.items():
         assert back.components[key] == series
+
+
+@pytest.mark.parametrize("d, order", [(1, 6), (2, 3)])
+def test_vectorize_p2_splits_the_generating_series(d, order):
+    spec = build_projective_model(d, ordering="interior-first")
+    base = period_series(spec, order + 2)
+    solution = vectorize(derivative_generating_series(base, 2, order), 2)
+    expected = derivative_vector_solution(base, 2)
+    assert solution == expected
+    assert solution.truncation == expected.truncation == order
 
 
 # ---------------------------------------------------------------------------
