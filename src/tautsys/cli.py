@@ -7,7 +7,8 @@ The exit status is 1 exactly when a verification verdict is negative and
 
 Bounds enforced here keep every invocation at desk scale:
 d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4; the
-library adds k + l <= 4 for spans and with it filtration p <= 5.
+library adds k + l <= 4 for spans, filtration p <= 5, and membership
+systems of at most 8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3).
 """
 
 import argparse

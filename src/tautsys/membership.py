@@ -19,13 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exact import (Inconsistent, LinearSystem, Rat, SparsePoly, as_rat,
                     grlex_key, solve_exact)
-from .model import (ModelSpec, SpanReport, monomials_of_degree,
-                    multiplication_surjectivity)
+from .model import (ModelSpec, ResourceBoundError, SpanReport,
+                    monomials_of_degree, multiplication_surjectivity)
 
 _ZERO = Fraction(0)
+
+#: largest certificate system, unknowns x equations, that membership_test
+#: builds: the d=2 alpha-order-2 system (105 unknowns, 84 equations), about
+#: 2 s.  It admits d=1 order <= 5, d=2 order <= 2 and d=3 order 1.
+MAX_SYSTEM_CELLS = 105 * 84
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,13 @@ def membership_test(spec: ModelSpec, point: SectionPoint,
     """
     p = query.poly
     degree = 0 if p.is_zero() else p.homogeneous_degree()
+    unknowns = (spec.d + 1) * comb(degree + 1, spec.d + 1)
+    equations = comb(degree + spec.d + 1, spec.d + 1)
+    if unknowns * equations > MAX_SYSTEM_CELLS:
+        raise ResourceBoundError(
+            f"alpha order {query.order} at d={spec.d} needs a {equations} x "
+            f"{unknowns} certificate system, beyond the supported "
+            f"{MAX_SYSTEM_CELLS} entries")
     max_q_degree = degree - spec.d
     f = section_polynomial(spec, point)
     gradients = [f.partial_derivative(i) for i in range(spec.d + 1)]
@@ -217,4 +230,7 @@ def filtration_generators(spec: ModelSpec, p: int) -> SpanReport:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    if p > 5:
+        raise ResourceBoundError(
+            f"filtration p={p} exceeds the supported bound 5")
     return multiplication_surjectivity(spec, max(p - 2, 0), min(p - 1, 1))

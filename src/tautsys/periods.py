@@ -20,52 +20,71 @@ from math import factorial
 
 from .exact import Rat, SparsePoly
 from .model import ModelSpec
-from .series import LaurentSeries, min_truncation
+from .series import LaurentSeries, _raw_series, min_truncation
 from .systems import ComponentKey, DiffSystem, VectorSolution
 
 
 def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
     """Torus-cycle period expansion, exact through expansion index `order`.
 
-    The j-th layer enumerates degree-j products of the non-distinguished
-    basis monomials whose exponents sum to j times the interior monomial;
-    each contributes its multinomial count times (-1)^j.
+    Layer j is the fiber A m = j (1, .., 1) of the exponent matrix: counts m
+    of the non-distinguished basis monomials whose exponents sum to j times
+    the interior monomial.  Each fiber point carries the integer
+    (-1)^j j! / prod m_i! (Gelfand-Kapranov-Zelevinsky).  The walk picks the
+    counts of the mixed monomials depth first; the pure powers x_r^(d+1)
+    then fill what is left of each row, which must be a multiple of d+1, so
+    the work follows the fiber rather than all degree-j products.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    n, i0, d = spec.n, spec.i0, spec.d
-    others = [i for i in range(n) if i != i0]
-    terms: dict = {}
+    n, i0, degree = spec.n, spec.i0, spec.d + 1
+    pure: list[int | None] = [None] * degree
+    mixed: list[tuple[int, tuple[int, ...]]] = []
+    for i, exp in enumerate(spec.basis):
+        if i == i0:
+            continue
+        if degree in exp:
+            pure[exp.index(degree)] = i
+        else:
+            mixed.append((i, exp))
+    # sort by support so that rows settle one after another: once the last
+    # mixed monomial using a row is chosen, that row's remainder is final
+    # and must already be a multiple of d+1
+    mixed.sort(key=lambda item: [not e for e in item[1]])
+    last = [max((k + 1 for k, (_, exp) in enumerate(mixed) if exp[row]),
+                default=0) for row in range(degree)]
+    settled = [[row for row in range(degree) if last[row] == k]
+               for k in range(len(mixed) + 1)]
     zero_b = (0,) * n
+    terms: dict = {}
+    counts = [0] * n
 
-    def emit(j: int, a_counts: tuple[int, ...], count: int):
-        a_exp = list(a_counts)
-        a_exp[i0] -= j + 1
-        coeff = count if j % 2 == 0 else -count
-        terms[(tuple(a_exp), zero_b)] = Fraction(coeff)
+    def walk(k: int, left: list[int], denominator: int, top: int):
+        for row in settled[k]:
+            if left[row] % degree or (left[row] and pure[row] is None):
+                return
+        if k == len(mixed):
+            point = counts.copy()
+            for row, rest in enumerate(left):
+                if rest:
+                    point[pure[row]] = rest // degree
+                    denominator *= factorial(rest // degree)
+            terms[(tuple(point), zero_b)] = top // denominator
+            return
+        i, exp = mixed[k]
+        most = min(left[row] // e for row, e in enumerate(exp) if e)
+        for c in range(most + 1):
+            if c:
+                left = [rest - e for rest, e in zip(left, exp)]
+                denominator *= c
+            counts[i] = c
+            walk(k + 1, left, denominator, top)
+        counts[i] = 0
 
-    state: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    emit(0, (0,) * n, 1)
-    for j in range(1, order + 1):
-        grown: dict[tuple[int, ...], int] = {}
-        for a_counts, count in state.items():
-            for i in others:
-                key = a_counts[:i] + (a_counts[i] + 1,) + a_counts[i + 1:]
-                grown[key] = grown.get(key, 0) + count
-        remaining = order - j
-        state = {}
-        for a_counts, count in grown.items():
-            torus = [-j] * (d + 1)
-            for i, e in enumerate(a_counts):
-                if e:
-                    for row in range(d + 1):
-                        torus[row] += e * spec.basis[i][row]
-            if all(t == 0 for t in torus):
-                emit(j, a_counts, count)
-            # keep states that can still reach torus exponent zero
-            if all(-remaining * d <= t <= remaining for t in torus):
-                state[a_counts] = count
-    return LaurentSeries(n, i0, terms, truncation=order)
+    for j in range(order + 1):
+        counts[i0] = -j - 1
+        walk(0, [j] * degree, 1, (-1) ** j * factorial(j))
+    return _raw_series(n, i0, terms, order)
 
 
 def derivative_generating_series(base: LaurentSeries, p: int,

@@ -121,7 +121,7 @@ class LaurentSeries:
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             add_term(merged, key, coeff)
-        return LaurentSeries(self.n, self.i0, merged, trunc)
+        return _raw_series(self.n, self.i0, merged, trunc)
 
     def __neg__(self) -> "LaurentSeries":
         return self.scale(-1)
@@ -130,7 +130,8 @@ class LaurentSeries:
         return self + (-other)
 
     def scale(self, value: int | Rat) -> "LaurentSeries":
-        value = as_rat(value)
+        if not isinstance(value, int):
+            value = as_rat(value)
         if not value:
             return LaurentSeries.zero(self.n, self.i0, self.truncation)
         out = LaurentSeries.__new__(LaurentSeries)
@@ -163,7 +164,7 @@ class LaurentSeries:
         trunc = self.truncation
         if trunc is not None and index != self.i0:
             trunc -= 1
-        return LaurentSeries(self.n, self.i0, out, trunc)
+        return _raw_series(self.n, self.i0, out, trunc)
 
     def mul_b_monomial(self, b_exp: Sequence[int]) -> "LaurentSeries":
         shift = tuple(int(e) for e in b_exp)
@@ -172,7 +173,7 @@ class LaurentSeries:
         out = {
             (a, tuple(u + v for u, v in zip(b, shift))): c
             for (a, b), c in self.terms.items()}
-        return LaurentSeries(self.n, self.i0, out, self.truncation)
+        return _raw_series(self.n, self.i0, out, self.truncation)
 
     def b_coefficient(self, b_exp: Sequence[int]) -> "LaurentSeries":
         """Series multiplying the given b-monomial (b-part of the keys zeroed)."""
@@ -181,7 +182,7 @@ class LaurentSeries:
         out = {
             (a, zero_exp): c
             for (a, b), c in self.terms.items() if b == target}
-        return LaurentSeries(self.n, self.i0, out, self.truncation)
+        return _raw_series(self.n, self.i0, out, self.truncation)
 
     def substitute_b(self, point: Sequence[int | Rat]) -> "LaurentSeries":
         """Specialize the b-variables at an exact rational point."""
@@ -196,11 +197,11 @@ class LaurentSeries:
                 if e:
                     factor *= value ** e
             add_term(out, (a_exp, zero_exp), factor)
-        return LaurentSeries(self.n, self.i0, out, self.truncation)
+        return _raw_series(self.n, self.i0, out, self.truncation)
 
     def pruned_to(self, truncation: int | None) -> "LaurentSeries":
-        return LaurentSeries(self.n, self.i0, self.terms,
-                             min_truncation(self.truncation, truncation))
+        return _raw_series(self.n, self.i0, self.terms,
+                           min_truncation(self.truncation, truncation))
 
     def __eq__(self, other):
         return (isinstance(other, LaurentSeries)
@@ -213,6 +214,22 @@ class LaurentSeries:
     def __repr__(self):
         return (f"LaurentSeries(n={self.n}, i0={self.i0}, "
                 f"terms={len(self.terms)}, truncation={self.truncation})")
+
+
+def _raw_series(n: int, i0: int, terms: dict[TermKey, Rat],
+                truncation: int | None) -> LaurentSeries:
+    """Wrap an already canonical term map, applying only the truncation cut.
+
+    The caller guarantees valid keys and nonzero coefficients; outside input
+    goes through the validating constructor instead.
+    """
+    if truncation is not None and any(
+            _index(a, i0) > truncation for a, _ in terms):
+        terms = {key: c for key, c in terms.items()
+                 if _index(key[0], i0) <= truncation}
+    out = LaurentSeries.__new__(LaurentSeries)
+    out.n, out.i0, out.terms, out.truncation = n, i0, terms, truncation
+    return out
 
 
 def _index(a_exp: tuple[int, ...], i0: int) -> int:

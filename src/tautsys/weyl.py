@@ -27,7 +27,7 @@ from math import comb
 from typing import Mapping
 
 from .exact import FamilyError, Rat, SparsePoly, add_term, as_rat
-from .series import LaurentSeries
+from .series import LaurentSeries, _raw_series
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -342,7 +342,7 @@ def apply_operator(op: WeylOperator,
                 tuple(q - g + c for q, g, c in zip(b_exp, d2, c2)),
             )
             add_term(out, key, oc * sc * factor)
-    return LaurentSeries(target.n, target.i0, out, truncation)
+    return _raw_series(target.n, target.i0, out, truncation)
 
 
 # ---------------------------------------------------------------------------

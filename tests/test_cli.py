@@ -131,12 +131,23 @@ def test_resource_bounds_rejected(capsys):
     "surjectivity --d 1 --k 1 --l 1 --filtration 0",
     "surjectivity --d 1 --k 1 --l 1 --filtration 6",
     "membership --d 1 --point 0,0,0 --alpha e0",
+    "membership --d 1 --fermat --alpha 40e0",
+    "membership --d 1 --fermat --alpha 6e0",
+    "scan --d 1 --alpha 6e0 --line 0,1,1;1,0,0;0,1",
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split(" "))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_filtration_bound_names_the_flag(capsys):
+    code, out, err = run_cli(capsys, "surjectivity", "--d", "1", "--k", "1",
+                             "--l", "1", "--filtration", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: filtration p=6 exceeds the supported bound 5\n"
 
 
 def _zeroed(witness):

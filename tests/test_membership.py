@@ -277,6 +277,20 @@ def test_filtration_generators_ladder(line, plane):
             filtration_generators(spec, 6)
 
 
+@pytest.mark.parametrize("d,admitted", [(1, 5), (2, 2), (3, 1)])
+def test_membership_rejects_oversized_systems_up_front(d, admitted):
+    spec = build_projective_model(d)
+    point = SectionPoint.of(fermat_point(spec))
+    alpha = [0] * spec.n
+    alpha[0] = admitted + 1
+    with pytest.raises(ResourceBoundError, match=f"alpha order {admitted + 1}"):
+        membership_test(spec, point, derivative_query(spec, alpha))
+    direction = [1] + [0] * (spec.n - 1)
+    with pytest.raises(ResourceBoundError):
+        scan_family(spec, derivative_query(spec, alpha), point, direction,
+                    [0, 1])
+
+
 def test_section_point_must_be_nonzero():
     with pytest.raises(ValueError):
         SectionPoint.of((0, 0, 0))
