@@ -6,12 +6,17 @@ The exit status is 1 exactly when a verification verdict is negative and
 2 for bad parameters, reported as one `error:` line on stderr.
 
 Bounds enforced here keep every invocation at desk scale:
-d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4; the
-library adds k + l <= 4 for spans, filtration p <= 5, and membership
-systems of at most 8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3).
+d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
+verify-periods cost (operator terms x series terms) of at most 200 000,
+checked before the series is built.  The library adds k + l <= 4 for
+spans, filtration p <= 5, membership systems of at most 8820 entries
+(alpha order <= 5, 2, 1 at d = 1, 2, 3), at most 4764 candidate relation
+pairs (degree bound 2 at d = 3) and scalar systems of at most 4125
+operators (p <= 1 at d = 3).
 """
 
 import argparse
+import math
 import os
 import random
 import re
@@ -24,17 +29,27 @@ from .exact import LinearSystem, SparsePoly, solve_exact, Solution, replay_witne
 from .membership import (Member, MembershipQuery, NonMember, SectionPoint,
                          derivative_query, membership_test, scan_family,
                          filtration_generators, verify_certificate)
-from .model import (ModelSpec, build_projective_model, fermat_point,
-                    lattice_relations, multiplication_surjectivity)
-from .periods import (derivative_generating_series, period_series,
+from .model import (ModelSpec, ResourceBoundError, build_projective_model,
+                    fermat_point, lattice_relations,
+                    multiplication_surjectivity)
+from .periods import (derivative_generating_series,
+                      derivative_vector_solution, period_series,
                       verify_annihilation)
-from .systems import (build_scalar_system, build_tautological_system,
-                      fourier_matches_dual, scalarize, vectorize)
+from .systems import (build_scalar_system, fourier_matches_dual, scalarize,
+                      vectorize)
 from .weyl import WeylOperator, commutator, compose, coord_a, d_a, fourier
 
 MAX_ORDER = 30
 MAX_P = 3
 DEGREE_BOUNDS = (2, 4)
+#: operator terms x period series terms that verify-periods admits; the
+#: costliest admitted runs take up to about 5 s on a 2-core VM (Python 3.11)
+MAX_VERIFY_COST = 200_000
+#: terms of the period series at d = 2 and 3 by order 0, 1, ..; one order
+#: more exceeds MAX_VERIFY_COST even with the smallest system (at d = 1 the
+#: series has one term per even order)
+PERIOD_TERMS = {2: (1, 1, 4, 10, 25, 49, 103, 184, 331, 554, 911, 1424),
+                3: (1, 1, 10, 70)}
 
 
 class UsageError(ValueError):
@@ -54,6 +69,24 @@ def _check_bounds(args):
         raise UsageError(
             f"degree bound {bound} outside supported range "
             f"{DEGREE_BOUNDS[0]}..{DEGREE_BOUNDS[1]}")
+
+
+def _check_verify_cost(spec: ModelSpec, system, order: int):
+    """Reject a verify-periods run before its series is built when operator
+    terms x series terms exceeds MAX_VERIFY_COST.  The order-p data is
+    derived from the series of order `order + p`."""
+    top = order + system.p
+    if spec.d == 1:
+        terms = top // 2 + 1
+    elif top < len(PERIOD_TERMS[spec.d]):
+        terms = PERIOD_TERMS[spec.d][top]
+    else:
+        terms = math.inf
+    if sum(len(op.terms) for op in system.operators) * terms > MAX_VERIFY_COST:
+        raise ResourceBoundError(
+            f"verify-periods at d={spec.d} p={system.p} order {order} exceeds "
+            f"the supported cost {MAX_VERIFY_COST} "
+            "(operator terms x series terms)")
 
 
 def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
@@ -102,8 +135,7 @@ def _header(args, lines: list[str]):
 def cmd_build_system(args):
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
-    system = (build_tautological_system(spec, relations) if args.p == 0
-              else build_scalar_system(spec, relations, args.p))
+    system = build_scalar_system(spec, relations, args.p)
     payload = {
         "model": serialize.model_to_obj(spec),
         "relations": [serialize.relation_to_obj(r) for r in relations],
@@ -133,13 +165,11 @@ def cmd_build_system(args):
 def cmd_verify_periods(args):
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
-    base = period_series(spec, args.order + args.p)
-    if args.p == 0:
-        system = build_tautological_system(spec, relations)
-        series = base
-    else:
-        system = build_scalar_system(spec, relations, args.p)
-        series = derivative_generating_series(base, args.p, args.order)
+    system = build_scalar_system(spec, relations, args.p)
+    _check_verify_cost(spec, system, args.order)
+    series = period_series(spec, args.order + args.p)
+    if args.p:
+        series = derivative_generating_series(series, args.p, args.order)
     report = verify_annihilation(system, series)
     lines: list[str] = []
     _header(args, lines)
@@ -367,7 +397,7 @@ def cmd_selftest(args):
 
     spec = build_projective_model(1, ordering="interior-first")
     relations = lattice_relations(spec, 2)
-    system = build_tautological_system(spec, relations)
+    system = build_scalar_system(spec, relations, 0)
     series = period_series(spec, 8)
     report = verify_annihilation(system, series)
     checks.append(("projective line pipeline", report.all_zero))
@@ -376,7 +406,6 @@ def cmd_selftest(args):
     for _ in range(10):
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         base = period_series(spec, rng.randint(3, 6)).scale(scale)
-        from .periods import derivative_vector_solution
         vec = derivative_vector_solution(base, 1)
         back = vectorize(scalarize(vec), 1)
         ok = ok and all(back.components[k] == vec.components[k]

@@ -109,13 +109,6 @@ class SparsePoly:
         return cls(family, arity, {(0,) * arity: value})
 
     @classmethod
-    def variable(cls, family: str, arity: int, index: int) -> "SparsePoly":
-        if not 0 <= index < arity:
-            raise ValueError(f"variable index {index} out of range")
-        exp = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(family, arity, {exp: 1})
-
-    @classmethod
     def monomial(cls, family: str, arity: int, exponents: Sequence[int],
                  coeff=1) -> "SparsePoly":
         return cls(family, arity, {tuple(exponents): coeff})
@@ -147,9 +140,6 @@ class SparsePoly:
         if len(degrees) > 1:
             raise ValueError(f"not homogeneous, degrees {sorted(degrees)}")
         return degrees.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(exp) for exp in self.terms}) <= 1
 
     # -- arithmetic ---------------------------------------------------------
 

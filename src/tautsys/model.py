@@ -17,6 +17,9 @@ from math import comb
 from .exact import Rat
 
 MAX_DIMENSION = 3
+#: candidate pairs sum C(k, 2) over the fibers of k equal column sums; the
+#: d = 2 degree-bound-4 count, the largest any test or benchmark uses
+MAX_RELATION_PAIRS = 4764
 
 #: basis orderings matching the worked P^1 and P^2 coefficient labels:
 #: the interior monomial comes first, then the boundary monomials walked
@@ -168,12 +171,13 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
 
     Enumerates multisets of basis columns of equal size and equal column
     sum; pairs with common support are skipped since they reduce to a
-    smaller relation already found.  Deduplicated up to sign.
+    smaller relation already found.  Deduplicated up to sign.  The
+    candidate pairs are counted before any is formed, and a count above
+    MAX_RELATION_PAIRS raises `ResourceBoundError`.
     """
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
-    seen: set[tuple[int, ...]] = set()
-    out: list[LatticeRelation] = []
+    fibers: list[list[tuple[int, ...]]] = []
     for size in range(2, degree_bound + 1):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for combo in combinations_with_replacement(range(spec.n), size):
@@ -184,22 +188,30 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
                 for row, e in enumerate(spec.basis[j]):
                     column_sum[row] += e
             groups.setdefault(tuple(column_sum), []).append(tuple(counts))
-        for members in groups.values():
-            for idx, plus in enumerate(members):
-                for minus in members[idx + 1:]:
-                    if any(p and m for p, m in zip(plus, minus)):
-                        continue
-                    vector = tuple(p - m for p, m in zip(plus, minus))
-                    for e in vector:
-                        if e > 0:
-                            break
-                        if e < 0:
-                            vector = tuple(-v for v in vector)
-                            break
-                    if vector in seen:
-                        continue
-                    seen.add(vector)
-                    out.append(LatticeRelation(vector))
+        fibers.extend(groups.values())
+    pairs = sum(comb(len(members), 2) for members in fibers)
+    if pairs > MAX_RELATION_PAIRS:
+        raise ResourceBoundError(
+            f"degree bound {degree_bound} at d={spec.d} gives {pairs} "
+            f"candidate relations, above the supported {MAX_RELATION_PAIRS}")
+    seen: set[tuple[int, ...]] = set()
+    out: list[LatticeRelation] = []
+    for members in fibers:
+        for idx, plus in enumerate(members):
+            for minus in members[idx + 1:]:
+                if any(p and m for p, m in zip(plus, minus)):
+                    continue
+                vector = tuple(p - m for p, m in zip(plus, minus))
+                for e in vector:
+                    if e > 0:
+                        break
+                    if e < 0:
+                        vector = tuple(-v for v in vector)
+                        break
+                if vector in seen:
+                    continue
+                seen.add(vector)
+                out.append(LatticeRelation(vector))
     out.sort(key=lambda rel: (rel.degree, rel.vector))
     return out
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .exact import Rat, SparsePoly
 from .model import ModelSpec
 from .series import LaurentSeries, _raw_series, min_truncation
-from .systems import ComponentKey, DiffSystem, VectorSolution
+from .systems import (ComponentKey, DiffSystem, VectorSolution,
+                      _component_key)
 
 
 def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
@@ -156,13 +157,11 @@ def derivative_vector_solution(base: LaurentSeries, p: int) -> VectorSolution:
         raise ValueError("vector components are kept for p = 1 and 2 only")
     n = base.n
     components: dict[ComponentKey, LaurentSeries] = {}
-    if p == 1:
-        for k in range(n):
-            components[k] = base.derivative_a(k)
-    else:
-        for l in range(n):
-            for k in range(n):
-                components[(l, k)] = base.derivative_a(l).derivative_a(k)
+    for slot in product(range(n), repeat=p):
+        derived = base
+        for i in slot:
+            derived = derived.derivative_a(i)
+        components[_component_key(slot)] = derived
     common = min_truncation(*(s.truncation for s in components.values()))
     components = {key: s.pruned_to(common) for key, s in components.items()}
     return VectorSolution(n=n, p=p, components=components)

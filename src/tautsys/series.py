@@ -98,16 +98,8 @@ class LaurentSeries:
             raise ValueError(f"mixed b-degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def a_degrees(self) -> set[int]:
-        return {sum(a) for a, _ in self.terms}
-
     def is_a_homogeneous(self, degree: int) -> bool:
         return all(sum(a) == degree for a, _ in self.terms)
-
-    def max_index(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(_index(a, self.i0) for a, _ in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -10,9 +10,13 @@ solutions are functions of (a, b), polynomial of degree p in b, built as
 
     phi(a, b) = sum over p-tuples K of  b_K * (d/da)^K phi(a).
 
-For p = 1 and p = 2 an equivalent vector-valued form is provided as well,
-with one component per derivative multi-index; the two presentations are
-exchanged by `scalarize` and `vectorize`.
+The base system is the scalar system at p = 0.  For p = 1 and p = 2 an
+equivalent vector-valued form is provided as well, with one component
+phi_K = D_{k_1} .. D_{k_p} phi per slot tuple K (keyed k at p = 1 and
+(l, k) at p = 2).  Its rows are the base rows commuted past the p
+derivatives: a toric or grading row acts on each component alone, and a
+symmetry row gains one matrix term per derivative slot.  The two
+presentations are exchanged by `scalarize` and `vectorize`.
 
 Symmetry convention.  A gl generator E_kl acts on sections through the
 anticanonical bundle, i.e. as the coefficient-space dual of the derivation
@@ -30,15 +34,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, prod
 
 from .exact import Rat
-from .model import LatticeRelation, ModelSpec, lie_action
+from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
 from .series import LaurentSeries
-from .weyl import (WeylOperator, _unit, coord_a, coord_b, d_a, d_b, euler_a,
-                   euler_b, fourier)
+from .weyl import WeylOperator, _unit, d_a, euler_a, euler_b, fourier
 
 _ZERO = Fraction(0)
+
+#: operators in the largest scalar system built up front: d = 2, degree
+#: bound 4, p = 3; it keeps every d = 2 system and rejects d = 3 at p >= 2
+MAX_SYSTEM_OPERATORS = 4125
 
 
 class UnsupportedOrderError(ValueError):
@@ -55,8 +63,8 @@ def toric_operator(n: int, relation: LatticeRelation) -> WeylOperator:
     if len(relation.vector) != n:
         raise ValueError("relation length does not match n")
     zero = (0,) * n
-    return (WeylOperator(n, {(zero, zero, relation.positive, zero): 1})
-            - WeylOperator(n, {(zero, zero, relation.negative, zero): 1}))
+    return WeylOperator(n, {(zero, zero, relation.positive, zero): 1,
+                            (zero, zero, relation.negative, zero): -1})
 
 
 def symmetry_matrix(spec: ModelSpec, k: int, l: int) -> tuple[tuple[Rat, ...], ...]:
@@ -73,24 +81,27 @@ def symmetry_matrix(spec: ModelSpec, k: int, l: int) -> tuple[tuple[Rat, ...], .
         for i in range(spec.n))
 
 
-def _first_order_from_matrix(n: int, matrix, coord, deriv) -> WeylOperator:
-    out = WeylOperator.zero(n)
-    for i in range(n):
-        for j in range(n):
-            value = matrix[i][j]
-            if value:
-                out = out + value * (coord(n, i) * deriv(n, j))
-    return out
-
-
 def symmetry_operator(spec: ModelSpec, k: int, l: int,
                       couple_b: bool = False) -> WeylOperator:
     """First-order symmetry operator for E_kl, optionally mirrored on b."""
-    matrix = symmetry_matrix(spec, k, l)
-    op = _first_order_from_matrix(spec.n, matrix, coord_a, d_a)
-    if couple_b:
-        op = op + _first_order_from_matrix(spec.n, matrix, coord_b, d_b)
-    return op
+    n = spec.n
+    zero = (0,) * n
+    terms = {}
+    for i, row in enumerate(symmetry_matrix(spec, k, l)):
+        for j, value in enumerate(row):
+            if value:
+                terms[(_unit(n, i), zero, _unit(n, j), zero)] = value
+                if couple_b:
+                    terms[(zero, _unit(n, i), zero, _unit(n, j))] = value
+    return WeylOperator(n, terms)
+
+
+def _exponent(n: int, indices) -> tuple[int, ...]:
+    """Exponent vector of the multiset of variable indices."""
+    out = [0] * n
+    for i in indices:
+        out[i] += 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +132,9 @@ def _dedup(pairs: list[tuple[str, WeylOperator]]):
     seen = set()
     labels, operators = [], []
     for label, op in pairs:
-        key = (op.families, tuple(sorted(op.terms.items())))
-        if key in seen:
+        if op in seen:
             continue
-        seen.add(key)
+        seen.add(op)
         labels.append(label)
         operators.append(op)
     return tuple(labels), tuple(operators)
@@ -134,65 +144,66 @@ def _generator_indices(d: int):
     return [(k, l) for k in range(d + 1) for l in range(d + 1)]
 
 
+def scalar_system_size(spec: ModelSpec, relations: int, p: int) -> int:
+    """Operators `build_scalar_system` emits, counted before building:
+    toric, symmetry and a-grading, then for p > 0 the b-grading, bder and
+    mixed families."""
+    n = spec.n
+    size = relations + (spec.d + 1) ** 2 + 1
+    if p:
+        size += 1 + comb(n + p, p + 1) + comb(n, 2) * comb(n + p - 2, p - 1)
+    return size
+
+
 def build_tautological_system(spec: ModelSpec,
                               relations: list[LatticeRelation]) -> DiffSystem:
     """Base system: toric operators, symmetry operators, Euler + 1."""
-    if not relations:
-        raise ValueError("at least one lattice relation is required")
-    n = spec.n
-    pairs: list[tuple[str, WeylOperator]] = []
-    for rel in relations:
-        pairs.append((f"toric{list(rel.vector)}", toric_operator(n, rel)))
-    for k, l in _generator_indices(spec.d):
-        pairs.append((f"symmetry[{k},{l}]", symmetry_operator(spec, k, l)))
-    pairs.append(("euler_a+1", euler_a(n) + 1))
-    labels, operators = _dedup(pairs)
-    return DiffSystem(kind="base", n=n, p=0, beta_e=Fraction(1),
-                      operators=operators, labels=labels)
+    return build_scalar_system(spec, relations, 0)
 
 
 def build_scalar_system(spec: ModelSpec, relations: list[LatticeRelation],
                         p: int) -> DiffSystem:
     """Scalar system governing the order-p derivative generating function.
 
-    Families emitted, in order: toric; b-coupled symmetry; the two grading
-    operators (a-degree -(1+p), b-degree p); all (p+1)-fold b-derivative
-    annihilators; the transpositions exchanging the single a-derivative
-    slot with each b-derivative slot.
+    Families emitted, in order: toric; symmetry, b-coupled when p > 0; the
+    grading operator of a-degree -(1+p).  For p > 0 there follow the
+    b-degree grading operator, all (p+1)-fold b-derivative annihilators and
+    the transpositions exchanging the single a-derivative slot with each
+    b-derivative slot.  At p = 0 this is the base system.
     """
     if p < 0:
         raise ValueError("p must be non-negative")
-    if p == 0:
-        return build_tautological_system(spec, relations)
     if not relations:
         raise ValueError("at least one lattice relation is required")
+    size = scalar_system_size(spec, len(relations), p)
+    if size > MAX_SYSTEM_OPERATORS:
+        raise ResourceBoundError(
+            f"the p={p} system at d={spec.d} has {size} operators, above the "
+            f"supported {MAX_SYSTEM_OPERATORS}")
     n = spec.n
-    pairs: list[tuple[str, WeylOperator]] = []
-    for rel in relations:
-        pairs.append((f"toric{list(rel.vector)}", toric_operator(n, rel)))
+    zero = (0,) * n
+    pairs = [(f"toric{list(rel.vector)}", toric_operator(n, rel))
+             for rel in relations]
     for k, l in _generator_indices(spec.d):
         pairs.append((f"symmetry[{k},{l}]",
-                      symmetry_operator(spec, k, l, couple_b=True)))
+                      symmetry_operator(spec, k, l, couple_b=p > 0)))
     pairs.append((f"euler_a+{1 + p}", euler_a(n) + (1 + p)))
-    pairs.append((f"euler_b-{p}", euler_b(n) - p))
-    for combo in combinations_with_replacement(range(n), p + 1):
-        op = WeylOperator.const(n, 1)
-        for i in combo:
-            op = op * d_b(n, i)
-        pairs.append((f"bder{list(combo)}", op))
-    for u in range(n):
-        for v in range(u + 1, n):
-            for rest in combinations_with_replacement(range(n), p - 1):
-                tail = WeylOperator.const(n, 1)
-                for i in rest:
-                    tail = tail * d_b(n, i)
-                left = d_a(n, u) * d_b(n, v) * tail
-                right = d_a(n, v) * d_b(n, u) * tail
-                pairs.append(
-                    (f"mixed[{u},{v}]{list(rest)}", left - right))
+    if p:
+        pairs.append((f"euler_b-{p}", euler_b(n) - p))
+        for combo in combinations_with_replacement(range(n), p + 1):
+            op = WeylOperator(n, {(zero, zero, zero, _exponent(n, combo)): 1})
+            pairs.append((f"bder{list(combo)}", op))
+        for u in range(n):
+            for v in range(u + 1, n):
+                for rest in combinations_with_replacement(range(n), p - 1):
+                    op = WeylOperator(n, {
+                        (zero, zero, _unit(n, u), _exponent(n, (v, *rest))): 1,
+                        (zero, zero, _unit(n, v), _exponent(n, (u, *rest))): -1})
+                    pairs.append((f"mixed[{u},{v}]{list(rest)}", op))
     labels, operators = _dedup(pairs)
-    return DiffSystem(kind="scalar", n=n, p=p, beta_e=Fraction(1 + p),
-                      operators=operators, labels=labels)
+    return DiffSystem(kind="scalar" if p else "base", n=n, p=p,
+                      beta_e=Fraction(1 + p), operators=operators,
+                      labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +230,11 @@ class VectorSystem:
     equations: tuple[VectorEquation, ...]
 
 
+def _component_key(slot: tuple[int, ...]) -> ComponentKey:
+    """Key of the component phi_K: k for a one-slot K, else the tuple."""
+    return slot if len(slot) > 1 else slot[0]
+
+
 def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
                         p: int) -> VectorSystem:
     """Vector presentation of the derivative system, one component per
@@ -231,69 +247,45 @@ def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
     if not relations:
         raise ValueError("at least one lattice relation is required")
     n = spec.n
+    slots = list(product(range(n), repeat=p))
+    keys = tuple(_component_key(slot) for slot in slots)
     equations: list[VectorEquation] = []
-    matrices = {
-        (k, l): symmetry_matrix(spec, k, l)
-        for k, l in _generator_indices(spec.d)}
-
-    if p == 1:
-        keys: tuple[ComponentKey, ...] = tuple(range(n))
-        for rel in relations:
-            toric = toric_operator(n, rel)
-            for k in keys:
-                equations.append(VectorEquation(
-                    f"toric{list(rel.vector)}@{k}", ((k, toric),)))
-        for (gk, gl), matrix in matrices.items():
-            sym = symmetry_operator(spec, gk, gl)
-            for k in keys:
-                parts = [(k, sym)]
-                for j in range(n):
-                    if matrix[k][j]:
-                        parts.append((j, WeylOperator.const(n, matrix[k][j])))
-                equations.append(VectorEquation(
-                    f"symmetry[{gk},{gl}]@{k}", tuple(parts)))
-        grading = euler_a(n) + 2
-        for k in keys:
-            equations.append(VectorEquation(f"euler@{k}", ((k, grading),)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                equations.append(VectorEquation(
-                    f"cross[{i},{j}]",
-                    ((j, d_a(n, i)), (i, -1 * d_a(n, j)))))
-        return VectorSystem(n=n, p=1, keys=keys, equations=tuple(equations))
-
-    keys = tuple((l, k) for l in range(n) for k in range(n))
     for rel in relations:
-        toric = toric_operator(n, rel)
+        label, toric = f"toric{list(rel.vector)}", toric_operator(n, rel)
         for key in keys:
-            equations.append(VectorEquation(
-                f"toric{list(rel.vector)}@{key}", ((key, toric),)))
-    for (gk, gl), matrix in matrices.items():
+            equations.append(VectorEquation(f"{label}@{key}", ((key, toric),)))
+    for gk, gl in _generator_indices(spec.d):
+        matrix = symmetry_matrix(spec, gk, gl)
         sym = symmetry_operator(spec, gk, gl)
-        for (l, k) in keys:
-            parts: list[tuple[ComponentKey, WeylOperator]] = [((l, k), sym)]
+        for slot, key in zip(slots, keys):
+            # D_k Z = Z D_k + sum_j matrix[k][j] D_j, once per slot
+            parts: list[tuple[ComponentKey, WeylOperator]] = [(key, sym)]
             for j in range(n):
-                if matrix[l][j]:
-                    parts.append(((j, k), WeylOperator.const(n, matrix[l][j])))
-                if matrix[k][j]:
-                    parts.append(((l, j), WeylOperator.const(n, matrix[k][j])))
+                for s, k in enumerate(slot):
+                    if matrix[k][j]:
+                        moved = _component_key(slot[:s] + (j,) + slot[s + 1:])
+                        parts.append(
+                            (moved, WeylOperator.const(n, matrix[k][j])))
             equations.append(VectorEquation(
-                f"symmetry[{gk},{gl}]@{(l, k)}", tuple(parts)))
-    grading = euler_a(n) + 3
+                f"symmetry[{gk},{gl}]@{key}", tuple(parts)))
+    grading = euler_a(n) + (1 + p)
     for key in keys:
         equations.append(VectorEquation(f"euler@{key}", ((key, grading),)))
     one = WeylOperator.const(n, 1)
-    for l in range(n):
-        for k in range(l + 1, n):
+    for slot, key in zip(slots, keys):
+        # p = 1 has nothing to transpose: a one-slot tuple is its reverse
+        if slot < slot[::-1]:
             equations.append(VectorEquation(
-                f"transpose[{l},{k}]", (((l, k), one), ((k, l), -1 * one))))
+                f"transpose[{','.join(map(str, slot))}]",
+                ((key, one), (_component_key(slot[::-1]), -one))))
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(n):
+            for rest in product(range(n), repeat=p - 1):
                 equations.append(VectorEquation(
-                    f"cross[{i},{j};{k}]",
-                    (((j, k), d_a(n, i)), ((k, i), -1 * d_a(n, j)))))
-    return VectorSystem(n=n, p=2, keys=keys, equations=tuple(equations))
+                    f"cross[{i},{j}{''.join(f';{k}' for k in rest)}]",
+                    ((_component_key((j, *rest)), d_a(n, i)),
+                     (_component_key((*rest, i)), -d_a(n, j)))))
+    return VectorSystem(n=n, p=p, keys=keys, equations=tuple(equations))
 
 
 @dataclass
@@ -343,18 +335,10 @@ def scalarize(solution: VectorSolution) -> LaurentSeries:
     p = 1 sends (phi_k) to sum b_k phi_k; p = 2 sends (phi_lk) to
     sum b_l b_k phi_lk.
     """
-    n = solution.n
     total: LaurentSeries | None = None
     for key, series in solution.components.items():
-        if solution.p == 1:
-            exponent = [0] * n
-            exponent[key] += 1
-        else:
-            l, k = key
-            exponent = [0] * n
-            exponent[l] += 1
-            exponent[k] += 1
-        piece = series.mul_b_monomial(exponent)
+        slot = key if solution.p > 1 else (key,)
+        piece = series.mul_b_monomial(_exponent(solution.n, slot))
         total = piece if total is None else total + piece
     if total is None:
         raise ValueError("empty vector solution")
@@ -380,17 +364,15 @@ def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
             f"series is b-homogeneous of degree {degree}, expected {p}")
     n = series.n
     components: dict[ComponentKey, LaurentSeries] = {}
-    if p == 1:
-        for k in range(n):
-            components[k] = series.b_coefficient(_unit(n, k))
-        return VectorSolution(n=n, p=1, components=components)
-    for l in range(n):
-        for k in range(n):
-            exponent = [u + v for u, v in zip(_unit(n, l), _unit(n, k))]
-            coefficient = series.b_coefficient(exponent)
-            components[(l, k)] = (coefficient if l == k
-                                  else coefficient.scale(Fraction(1, 2)))
-    return VectorSolution(n=n, p=2, components=components)
+    for slot in product(range(n), repeat=p):
+        exponent = _exponent(n, slot)
+        coefficient = series.b_coefficient(exponent)
+        # distinct orderings of the slot, all contributing this monomial
+        orderings = factorial(p) // prod(map(factorial, exponent))
+        components[_component_key(slot)] = (
+            coefficient if orderings == 1
+            else coefficient.scale(Fraction(1, orderings)))
+    return VectorSolution(n=n, p=p, components=components)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,10 @@ class WeylOperator:
             raise FamilyError(f"unknown family pair {families!r}")
         canonical: dict[TermKey, Rat] = {}
         for key, coeff in (terms or {}).items():
-            key = tuple(tuple(int(e) for e in part) for part in key)
+            key = tuple(tuple(map(int, part)) for part in key)
             if len(key) != 4 or any(len(part) != n for part in key):
                 raise ValueError("term key must hold four length-n tuples")
-            if any(e < 0 for part in key for e in part):
+            if min(map(min, key)) < 0:
                 raise ValueError("operator exponents must be non-negative")
             add_term(canonical, key, as_rat(coeff))
         self.n = n
@@ -101,11 +101,6 @@ class WeylOperator:
     def sorted_terms(self) -> list[tuple[TermKey, Rat]]:
         return sorted(self.terms.items(), key=lambda kv: _term_order(kv[0]))
 
-    def max_derivative_order(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(d1) + sum(d2) for _, _, d1, d2 in self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, WeylOperator)
                 and self.n == other.n
@@ -114,17 +109,6 @@ class WeylOperator:
 
     def __hash__(self):
         return hash((self.n, self.families, frozenset(self.terms.items())))
-
-    def sign_normalized(self) -> "WeylOperator":
-        """Flip the overall sign so the canonically-first term is positive.
-
-        Ideal generators are only defined up to a unit; this picks the
-        representative used by golden comparisons.
-        """
-        if not self.terms:
-            return self
-        first = min(self.terms.items(), key=lambda kv: _term_order(kv[0]))
-        return self if first[1] > 0 else self * -1
 
     # -- ring structure -------------------------------------------------------
 
@@ -393,16 +377,12 @@ def d_b(n: int, i: int) -> WeylOperator:
 
 def euler_a(n: int) -> WeylOperator:
     """Sum of a_i D_{a_i}: the degree-reading operator on the first family."""
-    out = WeylOperator.zero(n)
-    for i in range(n):
-        key = (_unit(n, i), (0,) * n, _unit(n, i), (0,) * n)
-        out = out + _raw(n, ("a", "b"), {key: Fraction(1)})
-    return out
+    zero = (0,) * n
+    return WeylOperator(n, {(_unit(n, i), zero, _unit(n, i), zero): 1
+                            for i in range(n)})
 
 
 def euler_b(n: int) -> WeylOperator:
-    out = WeylOperator.zero(n)
-    for i in range(n):
-        key = ((0,) * n, _unit(n, i), (0,) * n, _unit(n, i))
-        out = out + _raw(n, ("a", "b"), {key: Fraction(1)})
-    return out
+    zero = (0,) * n
+    return WeylOperator(n, {(zero, _unit(n, i), zero, _unit(n, i)): 1
+                            for i in range(n)})

@@ -9,6 +9,9 @@ import tautsys.membership
 from tautsys.cli import main
 from tautsys.exact import Inconsistent
 from tautsys.membership import NonMember
+from tautsys.model import build_projective_model, lattice_relations
+from tautsys.periods import period_series
+from tautsys.systems import build_scalar_system
 
 
 def run_cli(capsys, *argv):
@@ -134,12 +137,44 @@ def test_resource_bounds_rejected(capsys):
     "membership --d 1 --fermat --alpha 40e0",
     "membership --d 1 --fermat --alpha 6e0",
     "scan --d 1 --alpha 6e0 --line 0,1,1;1,0,0;0,1",
+    "build-system --d 3 --degree-bound 3",
+    "fourier --d 3 --degree-bound 4",
+    "build-system --d 3 --p 2 --degree-bound 2",
+    "verify-periods --d 2 --order 30",
+    "verify-periods --d 2 --p 1 --order 15",
+    "verify-periods --d 3 --p 2 --order 2",
+    "verify-periods --d 3 --order 4 --degree-bound 2",
+    "verify-periods --d 3 --p 1 --order 3 --degree-bound 2",
+    "verify-periods --d 3 --order 12 --degree-bound 2",
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split(" "))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_cost_table_counts_period_terms(d):
+    """Each entry is the term count of the period series of that order, and
+    one order more exceeds the cost bound even with the smallest system."""
+    spec = build_projective_model(d)
+    table = tautsys.cli.PERIOD_TERMS[d]
+    for order, terms in enumerate(table):
+        assert len(period_series(spec, order).terms) == terms
+    smallest = build_scalar_system(spec, lattice_relations(spec, 2), 0)
+    operator_terms = sum(len(op.terms) for op in smallest.operators)
+    assert operator_terms * table[-1] <= tautsys.cli.MAX_VERIFY_COST
+    assert (operator_terms * len(period_series(spec, len(table)).terms)
+            > tautsys.cli.MAX_VERIFY_COST)
+
+
+@pytest.mark.parametrize("d,p,order,bound", [
+    (1, 3, 30, 4), (2, 0, 8, 2), (2, 0, 4, 3), (2, 1, 4, 2), (3, 0, 2, 2)])
+def test_verify_cost_admits_the_benchmarked_runs(d, p, order, bound):
+    spec = build_projective_model(d, ordering="interior-first")
+    system = build_scalar_system(spec, lattice_relations(spec, bound), p)
+    tautsys.cli._check_verify_cost(spec, system, order)
 
 
 def test_filtration_bound_names_the_flag(capsys):

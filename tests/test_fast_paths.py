@@ -3,20 +3,28 @@
 `period_series` walks each fiber directly; the state-growth loop below is
 the multiset enumeration it replaced, kept as an independent reference.
 Internal series results skip the validating constructor; the seeded
-battery checks that every such result is still canonical.
+battery checks that every such result is still canonical.  The system
+builders write each operator's terms directly and treat every p in one
+loop; the operator-arithmetic builders below, with one branch per p, are
+the references they must reproduce label for label.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tautsys.model import build_projective_model
-from tautsys.periods import period_series
+from tautsys.model import build_projective_model, lattice_relations
+from tautsys.periods import derivative_vector_solution, period_series
 from tautsys.serialize import series_to_obj
 from tautsys.series import LaurentSeries
-from tautsys.weyl import WeylOperator, apply_operator
+from tautsys.systems import (VectorSolution, build_scalar_system,
+                             build_tautological_system, build_vector_system,
+                             scalarize, symmetry_matrix, vectorize)
+from tautsys.weyl import (WeylOperator, apply_operator, coord_a, coord_b,
+                          d_a, d_b)
 
 
 def state_growth_period_series(spec, order):
@@ -186,3 +194,226 @@ def test_apply_operator_with_positive_shift_is_canonical(data):
     out = apply_operator(op, s)
     assert out.truncation > s.truncation
     assert_canonical(out)
+
+
+# ---------------------------------------------------------------------------
+# System builders against operator-arithmetic references
+# ---------------------------------------------------------------------------
+
+
+def ref_toric(n, rel):
+    zero = (0,) * n
+    return (WeylOperator(n, {(zero, zero, rel.positive, zero): 1})
+            - WeylOperator(n, {(zero, zero, rel.negative, zero): 1}))
+
+
+def ref_euler(n, coord, deriv):
+    out = WeylOperator.zero(n)
+    for i in range(n):
+        out = out + coord(n, i) * deriv(n, i)
+    return out
+
+
+def ref_first_order(n, matrix, coord, deriv):
+    out = WeylOperator.zero(n)
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j]:
+                out = out + matrix[i][j] * (coord(n, i) * deriv(n, j))
+    return out
+
+
+def ref_symmetry(spec, k, l, couple_b=False):
+    matrix = symmetry_matrix(spec, k, l)
+    op = ref_first_order(spec.n, matrix, coord_a, d_a)
+    if couple_b:
+        op = op + ref_first_order(spec.n, matrix, coord_b, d_b)
+    return op
+
+
+def ref_dedup(pairs):
+    seen, out = set(), []
+    for label, op in pairs:
+        key = (op.families, tuple(sorted(op.terms.items())))
+        if key not in seen:
+            seen.add(key)
+            out.append((label, op))
+    return out
+
+
+def generators(d):
+    return [(k, l) for k in range(d + 1) for l in range(d + 1)]
+
+
+def ref_scalar_families(spec, p):
+    """(kind, beta_e, [(label, operator)]) of every family but the toric
+    one, which alone depends on the relations."""
+    n = spec.n
+    if p == 0:
+        pairs = [(f"symmetry[{k},{l}]", ref_symmetry(spec, k, l))
+                 for k, l in generators(spec.d)]
+        pairs.append(("euler_a+1", ref_euler(n, coord_a, d_a) + 1))
+        return "base", Fraction(1), pairs
+    pairs = [(f"symmetry[{k},{l}]", ref_symmetry(spec, k, l, couple_b=True))
+             for k, l in generators(spec.d)]
+    pairs.append((f"euler_a+{1 + p}", ref_euler(n, coord_a, d_a) + (1 + p)))
+    pairs.append((f"euler_b-{p}", ref_euler(n, coord_b, d_b) - p))
+    for combo in combinations_with_replacement(range(n), p + 1):
+        op = WeylOperator.const(n, 1)
+        for i in combo:
+            op = op * d_b(n, i)
+        pairs.append((f"bder{list(combo)}", op))
+    for u in range(n):
+        for v in range(u + 1, n):
+            for rest in combinations_with_replacement(range(n), p - 1):
+                tail = WeylOperator.const(n, 1)
+                for i in rest:
+                    tail = tail * d_b(n, i)
+                left = d_a(n, u) * d_b(n, v) * tail
+                right = d_a(n, v) * d_b(n, u) * tail
+                pairs.append((f"mixed[{u},{v}]{list(rest)}", left - right))
+    return "scalar", Fraction(1 + p), pairs
+
+
+def ref_vector_system(spec, rels, p):
+    """(keys, [(label, parts)]) with one branch per p."""
+    n = spec.n
+    rows = []
+    matrices = {g: symmetry_matrix(spec, *g) for g in generators(spec.d)}
+    if p == 1:
+        keys = tuple(range(n))
+        for rel in rels:
+            toric = ref_toric(n, rel)
+            for k in keys:
+                rows.append((f"toric{list(rel.vector)}@{k}", ((k, toric),)))
+        for (gk, gl), matrix in matrices.items():
+            sym = ref_symmetry(spec, gk, gl)
+            for k in keys:
+                parts = [(k, sym)]
+                for j in range(n):
+                    if matrix[k][j]:
+                        parts.append((j, WeylOperator.const(n, matrix[k][j])))
+                rows.append((f"symmetry[{gk},{gl}]@{k}", tuple(parts)))
+        grading = ref_euler(n, coord_a, d_a) + 2
+        for k in keys:
+            rows.append((f"euler@{k}", ((k, grading),)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows.append((f"cross[{i},{j}]",
+                             ((j, d_a(n, i)), (i, -1 * d_a(n, j)))))
+        return keys, rows
+    keys = tuple((l, k) for l in range(n) for k in range(n))
+    for rel in rels:
+        toric = ref_toric(n, rel)
+        for key in keys:
+            rows.append((f"toric{list(rel.vector)}@{key}", ((key, toric),)))
+    for (gk, gl), matrix in matrices.items():
+        sym = ref_symmetry(spec, gk, gl)
+        for (l, k) in keys:
+            parts = [((l, k), sym)]
+            for j in range(n):
+                if matrix[l][j]:
+                    parts.append(((j, k), WeylOperator.const(n, matrix[l][j])))
+                if matrix[k][j]:
+                    parts.append(((l, j), WeylOperator.const(n, matrix[k][j])))
+            rows.append((f"symmetry[{gk},{gl}]@{(l, k)}", tuple(parts)))
+    grading = ref_euler(n, coord_a, d_a) + 3
+    for key in keys:
+        rows.append((f"euler@{key}", ((key, grading),)))
+    one = WeylOperator.const(n, 1)
+    for l in range(n):
+        for k in range(l + 1, n):
+            rows.append((f"transpose[{l},{k}]",
+                         (((l, k), one), ((k, l), -1 * one))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                rows.append((f"cross[{i},{j};{k}]",
+                             (((j, k), d_a(n, i)), ((k, i), -1 * d_a(n, j)))))
+    return keys, rows
+
+
+def ref_scalarize(solution):
+    n = solution.n
+    total = None
+    for key, series in solution.components.items():
+        exponent = [0] * n
+        for i in ((key,) if solution.p == 1 else key):
+            exponent[i] += 1
+        piece = series.mul_b_monomial(exponent)
+        total = piece if total is None else total + piece
+    return total
+
+
+def ref_vectorize(series, p):
+    n = series.n
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    if p == 1:
+        return {k: series.b_coefficient(unit[k]) for k in range(n)}
+    out = {}
+    for l in range(n):
+        for k in range(n):
+            coefficient = series.b_coefficient(
+                [u + v for u, v in zip(unit[l], unit[k])])
+            out[(l, k)] = (coefficient if l == k
+                           else coefficient.scale(Fraction(1, 2)))
+    return out
+
+
+def ref_derivative_components(base, p):
+    n = base.n
+    if p == 1:
+        return {k: base.derivative_a(k) for k in range(n)}
+    return {(l, k): base.derivative_a(l).derivative_a(k)
+            for l in range(n) for k in range(n)}
+
+
+# (d, ordering, degree bounds, scalar orders p, vector orders p)
+BUILDER_CASES = [(1, "grlex", (2, 3), range(4), (1, 2)),
+                 (1, "interior-first", (2, 3), range(4), (1, 2)),
+                 (2, "interior-first", (2, 3), range(4), (1, 2)),
+                 (3, "grlex", (2,), range(2), (1,))]
+
+
+@pytest.mark.parametrize("d,ordering,bounds,scalar_ps,vector_ps",
+                         BUILDER_CASES)
+def test_system_builders_match_operator_arithmetic_references(
+        d, ordering, bounds, scalar_ps, vector_ps):
+    spec = build_projective_model(d, ordering=ordering)
+    relation_sets = [lattice_relations(spec, bound) for bound in bounds]
+    for p in scalar_ps:
+        kind, beta_e, families = ref_scalar_families(spec, p)
+        for rels in relation_sets:
+            system = build_scalar_system(spec, rels, p)
+            toric = [(f"toric{list(rel.vector)}", ref_toric(spec.n, rel))
+                     for rel in rels]
+            assert (system.kind, system.p, system.beta_e) == (kind, p, beta_e)
+            assert system.labelled() == ref_dedup(toric + families)
+            if p == 0 and d == 1:
+                assert build_tautological_system(spec, rels) == system
+    for p in vector_ps:
+        for rels in relation_sets:
+            system = build_vector_system(spec, rels, p)
+            keys, rows = ref_vector_system(spec, rels, p)
+            assert (system.p, system.keys) == (p, keys)
+            assert [(eq.label, eq.parts) for eq in system.equations] == rows
+
+
+@pytest.mark.parametrize("d,order", [(1, 10), (2, 5)])
+def test_component_maps_match_per_p_references(d, order):
+    spec = build_projective_model(d, ordering="interior-first")
+    base = period_series(spec, order).scale(Fraction(3, 7))
+    for p in (1, 2):
+        solution = derivative_vector_solution(base, p)
+        reference = ref_derivative_components(base, p)
+        common = min(s.truncation for s in reference.values())
+        reference = {k: s.pruned_to(common) for k, s in reference.items()}
+        assert list(solution.components) == list(reference)
+        assert solution.components == reference
+        phi = scalarize(solution)
+        assert phi == ref_scalarize(solution)
+        assert phi.truncation == ref_scalarize(solution).truncation
+        assert vectorize(phi, p).components == ref_vectorize(phi, p)
+        partial = VectorSolution(n=spec.n, p=p, components=dict(
+            list(solution.components.items())[1::3]))
+        assert scalarize(partial) == ref_scalarize(partial)

@@ -100,6 +100,14 @@ def test_lattice_relations_complete_up_to_bound():
     assert found == {tuple(r.vector) for r in lattice_relations(spec, bound)}
 
 
+def test_relation_pairs_are_bounded_before_pairing():
+    assert len(lattice_relations(build_projective_model(2), 4)) == 924
+    spec = build_projective_model(3)
+    for bound, pairs in ((3, 115676), (4, 6758740)):
+        with pytest.raises(ResourceBoundError, match=f"gives {pairs} "):
+            lattice_relations(spec, bound)
+
+
 def test_lattice_relation_validation():
     with pytest.raises(ValueError):
         LatticeRelation((0, 0, 0))

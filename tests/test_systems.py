@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautsys.model import build_projective_model, lattice_relations
+from tautsys.model import (ResourceBoundError, build_projective_model,
+                           lattice_relations)
 from tautsys.periods import (derivative_generating_series,
                              derivative_vector_solution, period_series)
 from tautsys.series import LaurentSeries
-from tautsys.systems import (UnsupportedOrderError, VectorSolution,
-                             build_scalar_system, build_tautological_system,
-                             build_vector_system, dual_generator_families,
-                             fourier_matches_dual, scalarize, symmetry_matrix,
+from tautsys.systems import (MAX_SYSTEM_OPERATORS, UnsupportedOrderError,
+                             VectorSolution, build_scalar_system,
+                             build_tautological_system, build_vector_system,
+                             dual_generator_families, fourier_matches_dual,
+                             scalar_system_size, scalarize, symmetry_matrix,
                              symmetry_operator, vectorize,
                              verify_vector_system)
 from tautsys.weyl import (WeylOperator, compose, coord_a, d_a, euler_a,
@@ -340,3 +342,20 @@ def test_substituting_numeric_b_keeps_pure_a_operators_annihilating(line):
     grading = by_label["euler_a+2"]
     assert toric.apply(special).is_zero()
     assert grading.apply(special).is_zero()
+
+
+@pytest.mark.parametrize("d,bounds,top_p", [(1, (2, 3, 4), 3),
+                                            (2, (2, 3, 4), 3), (3, (2,), 1)])
+def test_system_size_is_counted_before_building(d, bounds, top_p):
+    spec = build_projective_model(d)
+    for bound in bounds:
+        rels = lattice_relations(spec, bound)
+        for p in range(top_p + 1):
+            system = build_scalar_system(spec, rels, p)
+            assert scalar_system_size(spec, len(rels), p) == len(
+                system.operators)
+    if d == 2:
+        assert len(system.operators) == MAX_SYSTEM_OPERATORS
+    if d == 3:
+        with pytest.raises(ResourceBoundError, match="29834 operators"):
+            build_scalar_system(spec, rels, 2)
