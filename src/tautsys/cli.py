@@ -8,11 +8,14 @@ The exit status is 1 exactly when a verification verdict is negative and
 Bounds enforced here keep every invocation at desk scale:
 d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
 verify-periods cost (operator terms x series terms) of at most 200 000,
-checked before the series is built.  The library adds k + l <= 4 for
-spans, filtration p <= 5, membership systems of at most 8820 entries
-(alpha order <= 5, 2, 1 at d = 1, 2, 3), at most 4764 candidate relation
-pairs (degree bound 2 at d = 3) and scalar systems of at most 4125
-operators (p <= 1 at d = 3).
+checked before the series is built, as is the least verify-periods order
+that certifies anything (the degree bound or less).  The library adds
+k + l <= 4 for spans, filtration p <= 5, membership systems of at most
+8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of at most
+35 280 entries over all their parameters, at most 4764 candidate relation
+pairs (degree bound 2 at d = 3), scalar systems of at most 4125 operators
+(p <= 1 at d = 3) and vector systems of at most 93 895 equations (p = 1
+at d = 3).
 """
 
 import argparse
@@ -37,7 +40,8 @@ from .periods import (derivative_generating_series,
                       verify_annihilation)
 from .systems import (build_scalar_system, fourier_matches_dual, scalarize,
                       vectorize)
-from .weyl import WeylOperator, commutator, compose, coord_a, d_a, fourier
+from .weyl import (WeylOperator, commutator, compose, coord_a, d_a, fourier,
+                   index_shift)
 
 MAX_ORDER = 30
 MAX_P = 3
@@ -56,6 +60,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a UsageError, so that it exits 2 with
+    one `error:` line like every other bad input."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _check_bounds(args):
     if getattr(args, "d", None) is not None and not 1 <= args.d <= 3:
         raise UsageError(f"d={args.d} outside supported range 1..3")
@@ -69,6 +81,17 @@ def _check_bounds(args):
         raise UsageError(
             f"degree bound {bound} outside supported range "
             f"{DEGREE_BOUNDS[0]}..{DEGREE_BOUNDS[1]}")
+
+
+def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
+    """Reject an order too low to certify anything: the residuals are exact
+    through `order` plus the system's worst index shift, which must not be
+    negative."""
+    least = -min(index_shift(op, spec.i0) for op in system.operators)
+    if order < least:
+        raise UsageError(
+            f"order {order} certifies nothing at d={spec.d} p={system.p} "
+            f"degree bound {bound}; the minimum order is {least}")
 
 
 def _check_verify_cost(spec: ModelSpec, system, order: int):
@@ -166,6 +189,7 @@ def cmd_verify_periods(args):
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
     system = build_scalar_system(spec, relations, args.p)
+    _check_verify_order(spec, system, args.order, args.degree_bound)
     _check_verify_cost(spec, system, args.order)
     series = period_series(spec, args.order + args.p)
     if args.p:
@@ -334,11 +358,12 @@ def _random_poly(rng, arity=3, family="a"):
 
 def _random_operator(rng, n=2):
     op = WeylOperator.zero(n)
+    zero = (0,) * n
     for _ in range(rng.randint(1, 3)):
         coord = tuple(rng.randint(0, 1) for _ in range(n))
         deriv = tuple(rng.randint(0, 1) for _ in range(n))
         coeff = rng.randint(-2, 2) or 1
-        op = op + WeylOperator.term(n, coeff, coord_1=coord, deriv_1=deriv)
+        op = op + WeylOperator(n, {(coord, zero, deriv, zero): coeff})
     return op
 
 
@@ -434,7 +459,7 @@ def cmd_selftest(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tautsys",
         description="exact differential systems for hypersurface periods")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -498,10 +523,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
         _check_bounds(args)
         lines, ok = _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

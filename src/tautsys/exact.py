@@ -1,10 +1,12 @@
 """Exact arithmetic kernels.
 
 Everything downstream is built on three pieces: arbitrary precision
-rationals (`fractions.Fraction`, aliased `Rat`), sparse multivariate
-Laurent polynomials over named variable families, and a fraction-free
-exact linear solver.  No floating point enters anywhere; equality of
-results is always literal equality of canonical forms.
+rationals (`fractions.Fraction`, aliased `Rat`), sparse term maps (the
+`TermMap` core shared by the Laurent polynomials over named variable
+families below, the series of `tautsys.series` and the operators of
+`tautsys.weyl`), and a fraction-free exact linear solver.  No floating
+point enters anywhere; equality of results is always literal equality of
+canonical forms.
 
 Variable families
 -----------------
@@ -65,7 +67,93 @@ def add_term(terms: dict, key: Hashable, coeff: Rat) -> None:
         del terms[key]
 
 
-class SparsePoly:
+class TermMap:
+    """Sparse map from hashable keys to nonzero exact coefficients.
+
+    The common core of polynomials, series and operators.  A subclass sets
+    `_SHAPE`, the attributes two maps must share to combine (and, with equal
+    terms, to be equal), and defines `_constant_key`, the key of the
+    constant term, where scalars add to it, and `_times`, the product of
+    two maps, where there is one.  Results are made by `_like` from
+    canonical term maps, skipping the validating constructor; a subclass
+    whose results carry more than their shape overrides it.
+    """
+
+    __slots__ = ()
+    _SHAPE: tuple[str, ...] = ()
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _like(self, terms: dict, other: "TermMap | None" = None):
+        """A map of this shape holding the canonical `terms`; `other` is the
+        second operand of a sum."""
+        out = object.__new__(type(self))
+        for name in self._SHAPE:
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    def _times(self, other):
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_compatible(self, other: "TermMap"):
+        for name in self._SHAPE:
+            mine, theirs = getattr(self, name), getattr(other, name, None)
+            if mine != theirs:
+                raise FamilyError(f"{name} mismatch: {mine!r} vs {theirs!r}")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._like({self._constant_key(): as_rat(other)}
+                               if other else {})
+        self._check_compatible(other)
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            add_term(merged, key, coeff)
+        return self._like(merged, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, value: int | Rat):
+        """Every coefficient times an exact scalar; an int stays an int."""
+        if not isinstance(value, int):
+            value = as_rat(value)
+        if not value:
+            return self._like({})
+        return self._like({key: c * value for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._times(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._shape() == other._shape()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((*self._shape(), frozenset(self.terms.items())))
+
+
+class SparsePoly(TermMap):
     """Sparse polynomial (Laurent in the "a" family) with Rat coefficients.
 
     Terms are stored as a map from exponent tuples to nonzero coefficients;
@@ -74,6 +162,7 @@ class SparsePoly:
     """
 
     __slots__ = ("family", "arity", "terms")
+    _SHAPE = ("family", "arity")
 
     def __init__(self, family: str, arity: int,
                  terms: Mapping[Sequence[int], int | str | Rat] | None = None):
@@ -113,10 +202,10 @@ class SparsePoly:
                  coeff=1) -> "SparsePoly":
         return cls(family, arity, {tuple(exponents): coeff})
 
-    # -- queries -----------------------------------------------------------
+    def _constant_key(self):
+        return (0,) * self.arity
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    # -- queries -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
         """Terms in canonical (graded lexicographic) order."""
@@ -143,53 +232,13 @@ class SparsePoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compatible(self, other: "SparsePoly"):
-        if self.family != other.family:
-            raise FamilyError(
-                f"family mismatch: {self.family!r} vs {other.family!r}")
-        if self.arity != other.arity:
-            raise FamilyError(
-                f"arity mismatch in family {self.family!r}: "
-                f"{self.arity} vs {other.arity}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(self.family, self.arity, other)
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            add_term(merged, exp, coeff)
-        return _raw_poly(self.family, self.arity, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw_poly(self.family, self.arity,
-                         {exp: -c for exp, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.constant(self.family, self.arity, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scale = as_rat(other)
-            if not scale:
-                return SparsePoly.zero(self.family, self.arity)
-            return _raw_poly(self.family, self.arity,
-                             {exp: c * scale for exp, c in self.terms.items()})
+    def _times(self, other):
         self._check_compatible(other)
         out: dict[tuple[int, ...], Rat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 add_term(out, tuple(u + v for u, v in zip(e1, e2)), c1 * c2)
-        return _raw_poly(self.family, self.arity, out)
-
-    __rmul__ = __mul__
+        return self._like(out)
 
     def __pow__(self, power: int):
         if not isinstance(power, int) or power < 0:
@@ -202,16 +251,6 @@ class SparsePoly:
             base = base * base if power > 1 else base
             power >>= 1
         return result
-
-    def __eq__(self, other):
-        return (isinstance(other, SparsePoly)
-                and self.family == other.family
-                and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.family, self.arity,
-                     frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -240,7 +279,7 @@ class SparsePoly:
             if e == 0:
                 continue
             add_term(out, exp[:index] + (e - 1,) + exp[index + 1:], coeff * e)
-        return _raw_poly(self.family, self.arity, out)
+        return self._like(out)
 
     def evaluate(self, point: Sequence[int | Rat]) -> Rat:
         """Exact value at a rational point.
@@ -265,16 +304,6 @@ class SparsePoly:
                 term *= value ** e
             total += term
         return total
-
-
-def _raw_poly(family: str, arity: int,
-              terms: dict[tuple[int, ...], Rat]) -> SparsePoly:
-    """Internal fast path: terms assumed canonical already."""
-    poly = SparsePoly.__new__(SparsePoly)
-    object.__setattr__(poly, "family", family)
-    object.__setattr__(poly, "arity", arity)
-    object.__setattr__(poly, "terms", terms)
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ _ZERO = Fraction(0)
 #: builds: the d=2 alpha-order-2 system (105 unknowns, 84 equations), about
 #: 2 s.  It admits d=1 order <= 5, d=2 order <= 2 and d=3 order 1.
 MAX_SYSTEM_CELLS = 105 * 84
+#: certificate cells summed over the parameters of one scan: four of the
+#: largest systems, about 2.4 s at d=2 alpha order 2 on a 2-core VM
+MAX_SCAN_CELLS = 4 * MAX_SYSTEM_CELLS
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,13 @@ def derivative_query(spec: ModelSpec, alpha) -> MembershipQuery:
     return MembershipQuery.of(spec, poly, alpha=alpha)
 
 
+def _certificate_shape(spec: ModelSpec, degree: int) -> tuple[int, int]:
+    """Equations and unknowns of the certificate system of a query of this
+    degree: every monomial up to the degree, every q_i up to degree - d."""
+    return (comb(degree + spec.d + 1, spec.d + 1),
+            (spec.d + 1) * comb(degree + 1, spec.d + 1))
+
+
 def membership_test(spec: ModelSpec, point: SectionPoint,
                     query: MembershipQuery) -> Member | NonMember:
     """Decide the divergence identity exactly.
@@ -141,8 +151,7 @@ def membership_test(spec: ModelSpec, point: SectionPoint,
     """
     p = query.poly
     degree = 0 if p.is_zero() else p.homogeneous_degree()
-    unknowns = (spec.d + 1) * comb(degree + 1, spec.d + 1)
-    equations = comb(degree + spec.d + 1, spec.d + 1)
+    equations, unknowns = _certificate_shape(spec, degree)
     if unknowns * equations > MAX_SYSTEM_CELLS:
         raise ResourceBoundError(
             f"alpha order {query.order} at d={spec.d} needs a {equations} x "
@@ -204,15 +213,27 @@ def verify_certificate(spec: ModelSpec, point: SectionPoint,
 def scan_family(spec: ModelSpec, query: MembershipQuery,
                 base: SectionPoint, direction,
                 parameters) -> list[tuple[Rat, Member | NonMember]]:
-    """Run the membership test along the pencil a(t) = base + t * direction."""
+    """Run the membership test along the pencil a(t) = base + t * direction.
+
+    The parameters times the certificate cells of the query may not exceed
+    MAX_SCAN_CELLS; a larger scan is rejected before the first solve.
+    """
     step = tuple(as_rat(v) for v in direction)
     if len(step) != spec.n:
         raise ValueError("direction has wrong length")
     if not any(step):
         raise ValueError("direction must be nonzero")
+    parameters = [as_rat(t) for t in parameters]
+    equations, unknowns = _certificate_shape(
+        spec, query.poly.homogeneous_degree() or 0)
+    cells = len(parameters) * equations * unknowns
+    if cells > MAX_SCAN_CELLS:
+        raise ResourceBoundError(
+            f"a scan of {len(parameters)} parameters at alpha order "
+            f"{query.order} and d={spec.d} needs {cells} certificate cells, "
+            f"beyond the supported {MAX_SCAN_CELLS}")
     out = []
     for t in parameters:
-        t = as_rat(t)
         sample = SectionPoint.of(
             tuple(b + t * s for b, s in zip(base.a, step)))
         out.append((t, membership_test(spec, sample, query)))

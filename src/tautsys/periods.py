@@ -22,7 +22,7 @@ from .exact import Rat, SparsePoly
 from .model import ModelSpec
 from .series import LaurentSeries, _raw_series, min_truncation
 from .systems import (ComponentKey, DiffSystem, VectorSolution,
-                      _component_key)
+                      _component_key, _exponent, _orderings)
 
 
 def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
@@ -108,13 +108,8 @@ def derivative_generating_series(base: LaurentSeries, p: int,
         derived = base
         for i in combo:
             derived = derived.derivative_a(i)
-        weight = factorial(p)
-        for i in set(combo):
-            weight //= factorial(combo.count(i))
-        b_exp = [0] * n
-        for i in combo:
-            b_exp[i] += 1
-        piece = derived.scale(weight).mul_b_monomial(b_exp)
+        b_exp = _exponent(n, combo)
+        piece = derived.scale(_orderings(b_exp)).mul_b_monomial(b_exp)
         total = piece if total is None else total + piece
     return total.pruned_to(order)
 

@@ -15,16 +15,17 @@ order (for instance, a Laurent polynomial).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import FamilyError, Rat, SparsePoly, add_term, as_rat, grlex_key
+from .exact import (FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat,
+                    grlex_key)
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class LaurentSeries:
+class LaurentSeries(TermMap):
     __slots__ = ("n", "i0", "terms", "truncation")
+    _SHAPE = ("n", "i0")
 
     def __init__(self, n: int, i0: int,
                  terms: Mapping[TermKey, int | str | Rat] | None = None,
@@ -72,13 +73,16 @@ class LaurentSeries:
                 "in the section coefficients")
         return cls(n, i0, terms, truncation=None)
 
+    def _like(self, terms, other=None):
+        """A sum is exact only up to the lower of its two truncations."""
+        truncation = (self.truncation if other is None
+                      else min_truncation(self.truncation, other.truncation))
+        return _raw_series(self.n, self.i0, terms, truncation)
+
     # -- structure ----------------------------------------------------------
 
     def index_of(self, a_exp: Sequence[int]) -> int:
         return _index(tuple(a_exp), self.i0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self) -> list[tuple[TermKey, Rat]]:
         return sorted(
@@ -103,40 +107,8 @@ class LaurentSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_compatible(self, other: "LaurentSeries"):
-        if self.n != other.n or self.i0 != other.i0:
-            raise ValueError("series shapes differ (n or distinguished index)")
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_compatible(other)
-        trunc = min_truncation(self.truncation, other.truncation)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(merged, key, coeff)
-        return _raw_series(self.n, self.i0, merged, trunc)
-
-    def __neg__(self) -> "LaurentSeries":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def scale(self, value: int | Rat) -> "LaurentSeries":
-        if not isinstance(value, int):
-            value = as_rat(value)
-        if not value:
-            return LaurentSeries.zero(self.n, self.i0, self.truncation)
-        out = LaurentSeries.__new__(LaurentSeries)
-        out.n, out.i0, out.truncation = self.n, self.i0, self.truncation
-        out.terms = {k: c * value for k, c in self.terms.items()}
-        return out
-
-    def __mul__(self, value):
-        if isinstance(value, (int, Fraction)):
-            return self.scale(value)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    # in the class dict so that perfbench/spans.py can wrap series addition
+    __add__ = TermMap.__add__
 
     def derivative_a(self, index: int) -> "LaurentSeries":
         """Termwise d/da_index.
@@ -165,7 +137,7 @@ class LaurentSeries:
         out = {
             (a, tuple(u + v for u, v in zip(b, shift))): c
             for (a, b), c in self.terms.items()}
-        return _raw_series(self.n, self.i0, out, self.truncation)
+        return self._like(out)
 
     def b_coefficient(self, b_exp: Sequence[int]) -> "LaurentSeries":
         """Series multiplying the given b-monomial (b-part of the keys zeroed)."""
@@ -174,7 +146,7 @@ class LaurentSeries:
         out = {
             (a, zero_exp): c
             for (a, b), c in self.terms.items() if b == target}
-        return _raw_series(self.n, self.i0, out, self.truncation)
+        return self._like(out)
 
     def substitute_b(self, point: Sequence[int | Rat]) -> "LaurentSeries":
         """Specialize the b-variables at an exact rational point."""
@@ -189,19 +161,11 @@ class LaurentSeries:
                 if e:
                     factor *= value ** e
             add_term(out, (a_exp, zero_exp), factor)
-        return _raw_series(self.n, self.i0, out, self.truncation)
+        return self._like(out)
 
     def pruned_to(self, truncation: int | None) -> "LaurentSeries":
         return _raw_series(self.n, self.i0, self.terms,
                            min_truncation(self.truncation, truncation))
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentSeries)
-                and self.n == other.n and self.i0 == other.i0
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.i0, frozenset(self.terms.items())))
 
     def __repr__(self):
         return (f"LaurentSeries(n={self.n}, i0={self.i0}, "

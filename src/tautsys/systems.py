@@ -42,11 +42,13 @@ from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
 from .series import LaurentSeries
 from .weyl import WeylOperator, _unit, d_a, euler_a, euler_b, fourier
 
-_ZERO = Fraction(0)
-
 #: operators in the largest scalar system built up front: d = 2, degree
 #: bound 4, p = 3; it keeps every d = 2 system and rejects d = 3 at p >= 2
 MAX_SYSTEM_OPERATORS = 4125
+#: equations in the largest vector system built up front: d = 2, degree
+#: bound 4, p = 2 (0.15 s and about 32 MB to build on a 2-core VM); it keeps
+#: every d = 2 system and d = 3 at p = 1, and rejects d = 3 at p = 2
+MAX_VECTOR_EQUATIONS = 93_895
 
 
 class UnsupportedOrderError(ValueError):
@@ -102,6 +104,12 @@ def _exponent(n: int, indices) -> tuple[int, ...]:
     for i in indices:
         out[i] += 1
     return tuple(out)
+
+
+def _orderings(exponent: tuple[int, ...]) -> int:
+    """Distinct orderings of the multiset with this exponent vector, the
+    multinomial (sum of e)! / prod of e!."""
+    return factorial(sum(exponent)) // prod(map(factorial, exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +243,15 @@ def _component_key(slot: tuple[int, ...]) -> ComponentKey:
     return slot if len(slot) > 1 else slot[0]
 
 
+def vector_system_size(spec: ModelSpec, relations: int, p: int) -> int:
+    """Equations `build_vector_system` emits, counted before building: one
+    toric, symmetry and grading row per component, then the transpose rows
+    (p = 2) and the cross rows."""
+    n, pairs = spec.n, comb(spec.n, 2)
+    return ((relations + (spec.d + 1) ** 2 + 1) * n ** p
+            + (pairs if p == 2 else 0) + pairs * n ** (p - 1))
+
+
 def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
                         p: int) -> VectorSystem:
     """Vector presentation of the derivative system, one component per
@@ -246,6 +263,11 @@ def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
             f"no vector presentation for p={p}; use build_scalar_system")
     if not relations:
         raise ValueError("at least one lattice relation is required")
+    size = vector_system_size(spec, len(relations), p)
+    if size > MAX_VECTOR_EQUATIONS:
+        raise ResourceBoundError(
+            f"the p={p} vector system at d={spec.d} has {size} equations, "
+            f"above the supported {MAX_VECTOR_EQUATIONS}")
     n = spec.n
     slots = list(product(range(n), repeat=p))
     keys = tuple(_component_key(slot) for slot in slots)
@@ -368,7 +390,7 @@ def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
         exponent = _exponent(n, slot)
         coefficient = series.b_coefficient(exponent)
         # distinct orderings of the slot, all contributing this monomial
-        orderings = factorial(p) // prod(map(factorial, exponent))
+        orderings = _orderings(exponent)
         components[_component_key(slot)] = (
             coefficient if orderings == 1
             else coefficient.scale(Fraction(1, orderings)))
@@ -391,47 +413,33 @@ def dual_generator_families(spec: ModelSpec,
     n = spec.n
     dual = ("zeta", "xi")
     zero = (0,) * n
+    units = [_unit(n, i) for i in range(n)]
     out: list[tuple[str, WeylOperator, bool]] = []
     for rel in relations:
-        op = (WeylOperator(n, {(rel.positive, zero, zero, zero): 1}, dual)
-              - WeylOperator(n, {(rel.negative, zero, zero, zero): 1}, dual))
+        op = WeylOperator(n, {(rel.positive, zero, zero, zero): 1,
+                              (rel.negative, zero, zero, zero): -1}, dual)
         out.append((f"toric{list(rel.vector)}", op, rel.degree % 2 == 0))
     for k, l in _generator_indices(spec.d):
         matrix = symmetry_matrix(spec, k, l)
-        op = WeylOperator.zero(n, dual)
-        trace = _ZERO
+        terms = {(zero,) * 4: 2 * sum(matrix[i][i] for i in range(n))}
         for i in range(n):
-            trace += matrix[i][i]
             for j in range(n):
-                value = matrix[j][i]
-                if value:
-                    key = (_unit(n, i), zero, _unit(n, j), zero)
-                    op = op + WeylOperator(n, {key: value}, dual)
-                    key = (zero, _unit(n, i), zero, _unit(n, j))
-                    op = op + WeylOperator(n, {key: value}, dual)
-        op = op + WeylOperator.const(n, 2 * trace, dual)
-        out.append((f"symmetry[{k},{l}]", op, False))
-    euler_zeta = WeylOperator.zero(n, dual)
-    euler_xi = WeylOperator.zero(n, dual)
-    for i in range(n):
-        euler_zeta = euler_zeta + WeylOperator(
-            n, {(_unit(n, i), zero, _unit(n, i), zero): -1}, dual)
-        euler_xi = euler_xi + WeylOperator(
-            n, {(zero, _unit(n, i), zero, _unit(n, i)): -1}, dual)
-    out.append(("euler_a+2", euler_zeta + (-n + 2), True))
-    out.append(("euler_b-1", euler_xi + (-n - 1), True))
+                if matrix[j][i]:
+                    terms[(units[i], zero, units[j], zero)] = matrix[j][i]
+                    terms[(zero, units[i], zero, units[j])] = matrix[j][i]
+        out.append((f"symmetry[{k},{l}]", WeylOperator(n, terms, dual), False))
+    euler_zeta = {(u, zero, u, zero): -1 for u in units}
+    euler_xi = {(zero, u, zero, u): -1 for u in units}
+    out.append(("euler_a+2", WeylOperator(n, euler_zeta, dual) + (2 - n), True))
+    out.append(("euler_b-1", WeylOperator(n, euler_xi, dual) + (-n - 1), True))
     for i in range(n):
         for j in range(i + 1, n):
-            key_ij = (_unit(n, i), _unit(n, j), zero, zero)
-            key_ji = (_unit(n, j), _unit(n, i), zero, zero)
-            op = (WeylOperator(n, {key_ij: 1}, dual)
-                  - WeylOperator(n, {key_ji: 1}, dual))
+            op = WeylOperator(n, {(units[i], units[j], zero, zero): 1,
+                                  (units[j], units[i], zero, zero): -1}, dual)
             out.append((f"mixed[{i},{j}][]", op, True))
     for combo in combinations_with_replacement(range(n), 2):
-        exponent = [0] * n
-        for idx in combo:
-            exponent[idx] += 1
-        op = WeylOperator(n, {(zero, tuple(exponent), zero, zero): 1}, dual)
+        op = WeylOperator(n, {(zero, _exponent(n, combo), zero, zero): 1},
+                          dual)
         out.append((f"bder{list(combo)}", op, True))
     return out
 

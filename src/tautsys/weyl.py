@@ -21,12 +21,11 @@ with multi-index k running below both g and c.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Mapping
 
-from .exact import FamilyError, Rat, SparsePoly, add_term, as_rat
+from .exact import FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat
 from .series import LaurentSeries, _raw_series
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -35,8 +34,9 @@ FAMILY_PAIRS = (("a", "b"), ("zeta", "xi"))
 DUAL_PAIR = {("a", "b"): ("zeta", "xi"), ("zeta", "xi"): ("a", "b")}
 
 
-class WeylOperator:
+class WeylOperator(TermMap):
     __slots__ = ("n", "families", "terms")
+    _SHAPE = ("n", "families")
 
     def __init__(self, n: int,
                  terms: Mapping[TermKey, int | str | Rat] | None = None,
@@ -68,93 +68,18 @@ class WeylOperator:
         zero = (0,) * n
         return cls(n, {(zero, zero, zero, zero): value}, families)
 
-    @classmethod
-    def term(cls, n: int, coeff, coord_1=None, coord_2=None,
-             deriv_1=None, deriv_2=None, families=("a", "b")) -> "WeylOperator":
-        zero = (0,) * n
-        key = (tuple(coord_1 or zero), tuple(coord_2 or zero),
-               tuple(deriv_1 or zero), tuple(deriv_2 or zero))
-        return cls(n, {key: coeff}, families)
-
-    @classmethod
-    def coordinate(cls, n: int, slot: int, index: int,
-                   families=("a", "b")) -> "WeylOperator":
-        """The multiplication operator by variable `index` of family `slot`."""
-        exp = _unit(n, index)
-        if slot == 0:
-            return cls.term(n, 1, coord_1=exp, families=families)
-        return cls.term(n, 1, coord_2=exp, families=families)
-
-    @classmethod
-    def derivative(cls, n: int, slot: int, index: int,
-                   families=("a", "b")) -> "WeylOperator":
-        exp = _unit(n, index)
-        if slot == 0:
-            return cls.term(n, 1, deriv_1=exp, families=families)
-        return cls.term(n, 1, deriv_2=exp, families=families)
+    def _constant_key(self):
+        return ((0,) * self.n,) * 4
 
     # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self) -> list[tuple[TermKey, Rat]]:
         return sorted(self.terms.items(), key=lambda kv: _term_order(kv[0]))
 
-    def __eq__(self, other):
-        return (isinstance(other, WeylOperator)
-                and self.n == other.n
-                and self.families == other.families
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.families, frozenset(self.terms.items())))
-
     # -- ring structure -------------------------------------------------------
 
-    def _check_compatible(self, other: "WeylOperator"):
-        if self.n != other.n:
-            raise FamilyError(f"arity mismatch: {self.n} vs {other.n}")
-        if self.families != other.families:
-            raise FamilyError(
-                f"family mismatch: {self.families} vs {other.families}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOperator.const(self.n, other, self.families)
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(merged, key, coeff)
-        return _raw(self.n, self.families, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw(self.n, self.families,
-                    {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOperator.const(self.n, other, self.families)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scale = as_rat(other)
-            if not scale:
-                return WeylOperator.zero(self.n, self.families)
-            return _raw(self.n, self.families,
-                        {k: c * scale for k, c in self.terms.items()})
+    def _times(self, other):
         return compose(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     # -- actions --------------------------------------------------------------
 
@@ -189,13 +114,6 @@ class WeylOperator:
         for piece in pieces[1:]:
             out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
         return out
-
-
-def _raw(n: int, families: tuple[str, str],
-         terms: dict[TermKey, Rat]) -> WeylOperator:
-    op = WeylOperator.__new__(WeylOperator)
-    op.n, op.families, op.terms = n, families, terms
-    return op
 
 
 def _unit(n: int, index: int) -> tuple[int, ...]:
@@ -266,7 +184,7 @@ def compose(left: WeylOperator, right: WeylOperator) -> WeylOperator:
                         tuple(a - k + b for a, b, k in zip(d2, f2, k2)),
                     )
                     add_term(out, key, coeff)
-    return _raw(n, left.families, out)
+    return left._like(out)
 
 
 def commutator(left: WeylOperator, right: WeylOperator) -> WeylOperator:
@@ -278,13 +196,24 @@ def commutator(left: WeylOperator, right: WeylOperator) -> WeylOperator:
 # ---------------------------------------------------------------------------
 
 
+def index_shift(op: WeylOperator, i0: int) -> int:
+    """Worst change of the expansion index among the operator's terms.
+
+    A term a^c1 D_a^d1 moves an expansion index by |c1| - |d1|, counted
+    without the distinguished index i0.  A series exact through order N is
+    mapped to one exact through N + index_shift, so that is the order the
+    result can certify.  The operator must be nonzero.
+    """
+    return min((sum(c1) - c1[i0]) - (sum(d1) - d1[i0])
+               for (c1, _, d1, _) in op.terms)
+
+
 def apply_operator(op: WeylOperator,
                    target: LaurentSeries | SparsePoly) -> LaurentSeries:
     """Apply the operator to a series (or a polynomial viewed as one).
 
-    The output truncation is the input truncation shifted by the worst
-    expansion-index displacement among the operator terms, so the result
-    never claims orders it cannot certify.
+    The output truncation is the input truncation plus `index_shift`, so
+    the result never claims orders it cannot certify.
     """
     if isinstance(target, SparsePoly):
         target = LaurentSeries.from_poly(target)
@@ -297,11 +226,8 @@ def apply_operator(op: WeylOperator,
     if not op.terms:
         return LaurentSeries.zero(target.n, target.i0, truncation=None)
 
-    i0 = target.i0
-    shift = min(
-        (sum(c1) - c1[i0]) - (sum(d1) - d1[i0])
-        for (c1, _, d1, _) in op.terms)
-    truncation = None if target.truncation is None else target.truncation + shift
+    truncation = (None if target.truncation is None
+                  else target.truncation + index_shift(op, target.i0))
 
     out: dict[TermKey, Rat] = {}
     for (c1, c2, d1, d2), oc in op.terms.items():
@@ -341,17 +267,25 @@ def fourier(op: WeylOperator) -> WeylOperator:
     coordinates; the image is re-normal-ordered in the dual families.
     Applying the transform twice returns the operator with every coordinate
     and derivative negated.
+
+    The term u^c1 v^c2 D_u^d1 D_v^d2 goes to (-1)^(|d1|+|d2|) times
+    D^c1 D^c2 u^d1 v^d2 in the dual pair, whose normal order is one pass
+    over `_commutations` of each slot.
     """
-    dual = DUAL_PAIR[op.families]
-    n = op.n
-    zero = (0,) * n
-    out = WeylOperator.zero(n, dual)
+    out: dict[TermKey, Rat] = {}
     for (c1, c2, d1, d2), coeff in op.terms.items():
-        sign = -1 if (sum(d1) + sum(d2)) % 2 else 1
-        deriv_part = _raw(n, dual, {(zero, zero, c1, c2): coeff * sign})
-        coord_part = _raw(n, dual, {(d1, d2, zero, zero): Fraction(1)})
-        out = out + compose(deriv_part, coord_part)
-    return out
+        if (sum(d1) + sum(d2)) % 2:
+            coeff = -coeff
+        for k1, s1 in _commutations(c1, d1):
+            for k2, s2 in _commutations(c2, d2):
+                key = (_minus(d1, k1), _minus(d2, k2),
+                       _minus(c1, k1), _minus(c2, k2))
+                add_term(out, key, coeff * s1 * s2)
+    return WeylOperator.zero(op.n, DUAL_PAIR[op.families])._like(out)
+
+
+def _minus(exponents: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(e - j for e, j in zip(exponents, k))
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +293,29 @@ def fourier(op: WeylOperator) -> WeylOperator:
 # ---------------------------------------------------------------------------
 
 
+def _unit_term(n: int, part: int, index: int) -> WeylOperator:
+    """The operator with one term, variable `index` to the first power in
+    key part `part`: 0 and 1 the coordinates a and b, 2 and 3 the
+    derivatives D_a and D_b."""
+    key = [(0,) * n] * 4
+    key[part] = _unit(n, index)
+    return WeylOperator(n, {tuple(key): 1})
+
+
 def coord_a(n: int, i: int) -> WeylOperator:
-    return WeylOperator.coordinate(n, 0, i)
+    return _unit_term(n, 0, i)
 
 
 def coord_b(n: int, i: int) -> WeylOperator:
-    return WeylOperator.coordinate(n, 1, i)
+    return _unit_term(n, 1, i)
 
 
 def d_a(n: int, i: int) -> WeylOperator:
-    return WeylOperator.derivative(n, 0, i)
+    return _unit_term(n, 2, i)
 
 
 def d_b(n: int, i: int) -> WeylOperator:
-    return WeylOperator.derivative(n, 1, i)
+    return _unit_term(n, 3, i)
 
 
 def euler_a(n: int) -> WeylOperator:

@@ -1,8 +1,12 @@
 """Command line driver: determinism, verdicts, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tautsys.cli
 import tautsys.membership
@@ -146,9 +150,17 @@ def test_resource_bounds_rejected(capsys):
     "verify-periods --d 3 --order 4 --degree-bound 2",
     "verify-periods --d 3 --p 1 --order 3 --degree-bound 2",
     "verify-periods --d 3 --order 12 --degree-bound 2",
+    "verify-periods --d 3 --p 1 --order 1 --degree-bound 2",
+    "verify-periods --d 2 --p 3 --order 1 --degree-bound 4",
+    "verify-periods --d x",
+    "verify-periods --d 2 --bogus 1",
+    "scan --d 1 --alpha e0",
+    "",
+    pytest.param("scan --d 1 --alpha e0 --line 0,1,1;1,0,0;" + ",".join(
+        map(str, range(981))), id="scan --d 1 --alpha e0 over 981 points"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
-    code, out, err = run_cli(capsys, *argv.split(" "))
+    code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -175,6 +187,20 @@ def test_verify_cost_admits_the_benchmarked_runs(d, p, order, bound):
     spec = build_projective_model(d, ordering="interior-first")
     system = build_scalar_system(spec, lattice_relations(spec, bound), p)
     tautsys.cli._check_verify_cost(spec, system, order)
+
+
+def test_too_low_order_names_the_minimum(capsys):
+    for bound in (2, 3, 4):
+        code, out, err = run_cli(capsys, "verify-periods", "--d", "2",
+                                 "--order", str(bound - 1), "--degree-bound",
+                                 str(bound))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"the minimum order is {bound}\n")
+        code, out, _ = run_cli(capsys, "verify-periods", "--d", "2",
+                               "--order", str(bound), "--degree-bound",
+                               str(bound))
+        assert code == 0
+        assert "verified-order: 0\n" in out
 
 
 def test_filtration_bound_names_the_flag(capsys):
@@ -234,3 +260,63 @@ def test_grlex_ordering_flag(capsys):
     data = json.loads(payload)
     assert data["model"]["basis"][0] == [2, 0]
     assert data["model"]["i0"] == 1
+
+
+# cheap valid command lines, one or more per subcommand; the contract test
+# corrupts them
+VALID_ARGV = [
+    "verify-periods --d 1 --p 2 --order 4",
+    "verify-periods --d 2 --order 3 --degree-bound 2",
+    "verify-periods --d 2 --p 1 --order 2 --degree-bound 2",
+    "build-system --d 1 --p 1 --degree-bound 2",
+    "build-system --d 2 --degree-bound 2",
+    "fourier --d 1 --degree-bound 3",
+    "fourier --d 2 --degree-bound 2",
+    "membership --d 1 --fermat --alpha e1",
+    "membership --d 1 --point 1,2,3 --alpha 2e0",
+    "membership --d 2 --fermat --monomial 1,1,1",
+    "scan --d 1 --alpha e0 --line 0,1,1;1,0,0;0,1,2",
+    "surjectivity --d 2 --k 1 --l 1 --filtration 3",
+    "surjectivity --d 1 --k 2 --l 2",
+    "selftest --seed 7",
+]
+JUNK = ["x", "", "-1", "0", "5", "99", "1/0", "2.5", "e9", "40e0", "0,0,0",
+        "1,2", ";;", "--bogus", "--help-me", "selftest"]
+
+
+@st.composite
+def command_lines(draw):
+    """A valid command line, as it is or with one to three tokens after the
+    subcommand replaced, dropped or inserted."""
+    argv = draw(st.sampled_from(VALID_ARGV)).split()
+    if draw(st.booleans()):
+        return argv
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if edit == "insert" or len(argv) == 1:
+            argv.insert(draw(st.integers(1, len(argv))),
+                        draw(st.sampled_from(JUNK)))
+        elif edit == "replace":
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(
+                st.sampled_from(JUNK))
+        else:
+            del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command_lines())
+def test_exit_code_contract_over_generated_argv(argv):
+    """0 or 1 with a report, 1 only with a failed verdict, 2 with nothing
+    on stdout and one `error:` line; never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert out.endswith("verdict: PASS\n" if code == 0
+                            else "verdict: FAIL\n")

@@ -6,7 +6,9 @@ Internal series results skip the validating constructor; the seeded
 battery checks that every such result is still canonical.  The system
 builders write each operator's terms directly and treat every p in one
 loop; the operator-arithmetic builders below, with one branch per p, are
-the references they must reproduce label for label.
+the references they must reproduce label for label.  `fourier` normal
+orders each term's image in one pass; the per-term composition it replaced
+is the reference on every system operator and a seeded battery.
 """
 
 from fractions import Fraction
@@ -23,8 +25,8 @@ from tautsys.series import LaurentSeries
 from tautsys.systems import (VectorSolution, build_scalar_system,
                              build_tautological_system, build_vector_system,
                              scalarize, symmetry_matrix, vectorize)
-from tautsys.weyl import (WeylOperator, apply_operator, coord_a, coord_b,
-                          d_a, d_b)
+from tautsys.weyl import (DUAL_PAIR, WeylOperator, apply_operator, compose,
+                          coord_a, coord_b, d_a, d_b, fourier)
 
 
 def state_growth_period_series(spec, order):
@@ -417,3 +419,66 @@ def test_component_maps_match_per_p_references(d, order):
         partial = VectorSolution(n=spec.n, p=p, components=dict(
             list(solution.components.items())[1::3]))
         assert scalarize(partial) == ref_scalarize(partial)
+
+
+# ---------------------------------------------------------------------------
+# Fourier transform against per-term composition
+# ---------------------------------------------------------------------------
+
+
+def ref_fourier(op):
+    """Compose each term's dual derivative part with its dual coordinate
+    part and add the images one at a time."""
+    dual = DUAL_PAIR[op.families]
+    n = op.n
+    zero = (0,) * n
+    out = WeylOperator.zero(n, dual)
+    for (c1, c2, d1, d2), coeff in op.terms.items():
+        sign = -1 if (sum(d1) + sum(d2)) % 2 else 1
+        deriv_part = WeylOperator(n, {(zero, zero, c1, c2): coeff * sign},
+                                  dual)
+        coord_part = WeylOperator(n, {(d1, d2, zero, zero): 1}, dual)
+        out = out + compose(deriv_part, coord_part)
+    return out
+
+
+# (d, degree bounds, scalar orders p)
+FOURIER_CASES = [(1, (2, 3), range(4)), (2, (2, 3), range(4)),
+                 (3, (2,), range(2))]
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds,ps", FOURIER_CASES)
+def test_fourier_matches_per_term_composition_on_systems(d, bounds, ps,
+                                                         ordering):
+    spec = build_projective_model(d, ordering=ordering)
+    seen = set()
+    for bound in bounds:
+        relations = lattice_relations(spec, bound)
+        for p in ps:
+            seen.update(build_scalar_system(spec, relations, p).operators)
+    for op in seen:
+        image = fourier(op)
+        assert image == ref_fourier(op)
+        assert image.families == ("zeta", "xi")
+        assert fourier(image) == ref_fourier(image)
+
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(1, 3))
+    families = draw(st.sampled_from(sorted(DUAL_PAIR)))
+    exponents = st.tuples(*(st.integers(0, 3) for _ in range(n)))
+    terms = draw(st.dictionaries(
+        st.tuples(exponents, exponents, exponents, exponents), rationals,
+        max_size=5))
+    return WeylOperator(n, terms, families)
+
+
+@battery
+@given(operators())
+def test_fourier_matches_per_term_composition_on_random_operators(op):
+    image = fourier(op)
+    assert image == ref_fourier(op)
+    assert image.families == DUAL_PAIR[op.families]
+    assert fourier(image) == ref_fourier(ref_fourier(op))

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import tautsys.membership
 from tautsys.exact import SparsePoly, replay_witness
 from tautsys.membership import (Member, MembershipCertificate,
                                 MembershipQuery, NonMember, SectionPoint,
@@ -289,6 +290,25 @@ def test_membership_rejects_oversized_systems_up_front(d, admitted):
     with pytest.raises(ResourceBoundError):
         scan_family(spec, derivative_query(spec, alpha), point, direction,
                     [0, 1])
+
+
+@pytest.mark.parametrize("order,admitted", [(1, 980), (2, 117), (3, 30)])
+def test_scan_rejects_oversized_parameter_lists_up_front(monkeypatch, line,
+                                                         order, admitted):
+    """Parameters x certificate cells is bounded before the first solve;
+    the benchmarked scans (d=1, up to 6 parameters at order 2 and 4 at
+    order 3) stay well inside."""
+    query = derivative_query(line, (order, 0, 0))
+    point = SectionPoint.of((0, 1, 1))
+    calls = []
+    monkeypatch.setattr(tautsys.membership, "membership_test",
+                        lambda *args: calls.append(args))
+    scan_family(line, query, point, (1, 0, 0), range(admitted))
+    assert len(calls) == admitted
+    calls.clear()
+    with pytest.raises(ResourceBoundError, match=f"{admitted + 1} parameters"):
+        scan_family(line, query, point, (1, 0, 0), range(admitted + 1))
+    assert calls == []
 
 
 def test_section_point_must_be_nonzero():

@@ -1,5 +1,6 @@
 """System builders, the scalar/vector equivalence, and the dual golden forms."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ from tautsys.model import (ResourceBoundError, build_projective_model,
 from tautsys.periods import (derivative_generating_series,
                              derivative_vector_solution, period_series)
 from tautsys.series import LaurentSeries
-from tautsys.systems import (MAX_SYSTEM_OPERATORS, UnsupportedOrderError,
+from tautsys.systems import (MAX_SYSTEM_OPERATORS, MAX_VECTOR_EQUATIONS,
+                             UnsupportedOrderError,
                              VectorSolution, build_scalar_system,
                              build_tautological_system, build_vector_system,
                              dual_generator_families, fourier_matches_dual,
                              scalar_system_size, scalarize, symmetry_matrix,
-                             symmetry_operator, vectorize,
-                             verify_vector_system)
+                             symmetry_operator, vector_system_size,
+                             vectorize, verify_vector_system)
 from tautsys.weyl import (WeylOperator, compose, coord_a, d_a, euler_a,
                           euler_b, fourier)
 
@@ -359,3 +361,22 @@ def test_system_size_is_counted_before_building(d, bounds, top_p):
     if d == 3:
         with pytest.raises(ResourceBoundError, match="29834 operators"):
             build_scalar_system(spec, rels, 2)
+
+
+@pytest.mark.parametrize("d,bounds,top_p", [(1, (2, 3, 4), 2),
+                                            (2, (2, 3, 4), 2), (3, (2,), 1)])
+def test_vector_system_size_is_counted_before_building(d, bounds, top_p):
+    spec = build_projective_model(d)
+    for bound in bounds:
+        rels = lattice_relations(spec, bound)
+        for p in range(1, top_p + 1):
+            system = build_vector_system(spec, rels, p)
+            assert vector_system_size(spec, len(rels), p) == len(
+                system.equations)
+    if d == 2:
+        assert len(system.equations) == MAX_VECTOR_EQUATIONS
+    if d == 3:
+        started = time.perf_counter()
+        with pytest.raises(ResourceBoundError, match="1537970 equations"):
+            build_vector_system(spec, rels, 2)
+        assert time.perf_counter() - started < 0.5
