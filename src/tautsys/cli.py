@@ -9,7 +9,8 @@ Bounds enforced here keep every invocation at desk scale:
 d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
 verify-periods cost (operator terms x series terms) of at most 200 000,
 checked before the series is built, as is the least verify-periods order
-that certifies anything (the degree bound or less).  The library adds
+that certifies anything (the degree bound or less); when that least order
+already exceeds the cost, no order is admitted.  The library adds
 k + l <= 4 for spans, filtration p <= 5, membership systems of at most
 8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of at most
 35 280 entries over all their parameters, at most 4764 candidate relation
@@ -83,11 +84,32 @@ def _check_bounds(args):
             f"{DEGREE_BOUNDS[0]}..{DEGREE_BOUNDS[1]}")
 
 
+def _verify_cost(spec: ModelSpec, system, order: int) -> float:
+    """Operator terms x series terms of a verify-periods run, known before
+    its series is built.  The order-p data is derived from the series of
+    order `order + p`."""
+    top = order + system.p
+    if spec.d == 1:
+        terms = top // 2 + 1
+    elif top < len(PERIOD_TERMS[spec.d]):
+        terms = PERIOD_TERMS[spec.d][top]
+    else:
+        terms = math.inf
+    return sum(len(op.terms) for op in system.operators) * terms
+
+
 def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
     """Reject an order too low to certify anything: the residuals are exact
     through `order` plus the system's worst index shift, which must not be
-    negative."""
+    negative.  When even the least such order exceeds MAX_VERIFY_COST, no
+    order is admitted and every one is rejected alike."""
     least = -min(index_shift(op, spec.i0) for op in system.operators)
+    if _verify_cost(spec, system, least) > MAX_VERIFY_COST:
+        raise ResourceBoundError(
+            f"verify-periods admits no order at d={spec.d} p={system.p} "
+            f"degree bound {bound}: the least order that certifies "
+            f"anything, {least}, exceeds the supported cost "
+            f"{MAX_VERIFY_COST} (operator terms x series terms)")
     if order < least:
         raise UsageError(
             f"order {order} certifies nothing at d={spec.d} p={system.p} "
@@ -96,16 +118,8 @@ def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
 
 def _check_verify_cost(spec: ModelSpec, system, order: int):
     """Reject a verify-periods run before its series is built when operator
-    terms x series terms exceeds MAX_VERIFY_COST.  The order-p data is
-    derived from the series of order `order + p`."""
-    top = order + system.p
-    if spec.d == 1:
-        terms = top // 2 + 1
-    elif top < len(PERIOD_TERMS[spec.d]):
-        terms = PERIOD_TERMS[spec.d][top]
-    else:
-        terms = math.inf
-    if sum(len(op.terms) for op in system.operators) * terms > MAX_VERIFY_COST:
+    terms x series terms exceeds MAX_VERIFY_COST."""
+    if _verify_cost(spec, system, order) > MAX_VERIFY_COST:
         raise ResourceBoundError(
             f"verify-periods at d={spec.d} p={system.p} order {order} exceeds "
             f"the supported cost {MAX_VERIFY_COST} "
@@ -357,14 +371,14 @@ def _random_poly(rng, arity=3, family="a"):
 
 
 def _random_operator(rng, n=2):
-    op = WeylOperator.zero(n)
     zero = (0,) * n
+    parts = []
     for _ in range(rng.randint(1, 3)):
         coord = tuple(rng.randint(0, 1) for _ in range(n))
         deriv = tuple(rng.randint(0, 1) for _ in range(n))
         coeff = rng.randint(-2, 2) or 1
-        op = op + WeylOperator(n, {(coord, zero, deriv, zero): coeff})
-    return op
+        parts.append(WeylOperator(n, {(coord, zero, deriv, zero): coeff}))
+    return WeylOperator.zero(n).plus(*parts)
 
 
 def cmd_selftest(args):
@@ -533,8 +547,7 @@ def main(argv=None) -> int:
         # parameter are ValueErrors; invariant failures use other types
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
+    print("\n".join(lines))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
     return 0 if ok else 1

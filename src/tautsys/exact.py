@@ -85,9 +85,9 @@ class TermMap:
     def _shape(self) -> tuple:
         return tuple(getattr(self, name) for name in self._SHAPE)
 
-    def _like(self, terms: dict, other: "TermMap | None" = None):
-        """A map of this shape holding the canonical `terms`; `other` is the
-        second operand of a sum."""
+    def _like(self, terms: dict, *operands: "TermMap"):
+        """A map of this shape holding the canonical `terms`; `operands` are
+        the other operands of a sum."""
         out = object.__new__(type(self))
         for name in self._SHAPE:
             object.__setattr__(out, name, getattr(self, name))
@@ -106,15 +106,21 @@ class TermMap:
             if mine != theirs:
                 raise FamilyError(f"{name} mismatch: {mine!r} vs {theirs!r}")
 
+    def plus(self, *others: "TermMap"):
+        """This map plus every other map, accumulated in one pass into one
+        term map."""
+        merged = dict(self.terms)
+        for other in others:
+            self._check_compatible(other)
+            for key, coeff in other.terms.items():
+                add_term(merged, key, coeff)
+        return self._like(merged, *others)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._like({self._constant_key(): as_rat(other)}
                                if other else {})
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(merged, key, coeff)
-        return self._like(merged, other)
+        return self.plus(other)
 
     __radd__ = __add__
 

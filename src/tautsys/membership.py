@@ -204,9 +204,9 @@ def verify_certificate(spec: ModelSpec, point: SectionPoint,
     if len(certificate.q) != spec.d + 1:
         return False
     f = section_polynomial(spec, point)
-    total = SparsePoly.zero("x", spec.d + 1)
-    for i, q in enumerate(certificate.q):
-        total = total + q.partial_derivative(i) + q * f.partial_derivative(i)
+    total = SparsePoly.zero("x", spec.d + 1).plus(*(
+        term for i, q in enumerate(certificate.q)
+        for term in (q.partial_derivative(i), q * f.partial_derivative(i))))
     return total == query.poly
 
 

@@ -171,9 +171,11 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
 
     Enumerates multisets of basis columns of equal size and equal column
     sum; pairs with common support are skipped since they reduce to a
-    smaller relation already found.  Deduplicated up to sign.  The
-    candidate pairs are counted before any is formed, and a count above
-    MAX_RELATION_PAIRS raises `ResourceBoundError`.
+    smaller relation already found.  The relations are distinct up to
+    sign by construction, each with a positive first nonzero entry, and
+    come sorted by (degree, vector).  The candidate pairs are counted
+    before any is formed, and a count above MAX_RELATION_PAIRS raises
+    `ResourceBoundError`.
     """
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
@@ -194,24 +196,14 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
         raise ResourceBoundError(
             f"degree bound {degree_bound} at d={spec.d} gives {pairs} "
             f"candidate relations, above the supported {MAX_RELATION_PAIRS}")
-    seen: set[tuple[int, ...]] = set()
-    out: list[LatticeRelation] = []
-    for members in fibers:
-        for idx, plus in enumerate(members):
-            for minus in members[idx + 1:]:
-                if any(p and m for p, m in zip(plus, minus)):
-                    continue
-                vector = tuple(p - m for p, m in zip(plus, minus))
-                for e in vector:
-                    if e > 0:
-                        break
-                    if e < 0:
-                        vector = tuple(-v for v in vector)
-                        break
-                if vector in seen:
-                    continue
-                seen.add(vector)
-                out.append(LatticeRelation(vector))
+    # members come in strictly descending lex order, so with disjoint
+    # supports plus - minus has a positive first nonzero entry, and each
+    # unordered pair, visited once, fixes the relation up to sign
+    out = [LatticeRelation(tuple(p - m for p, m in zip(plus, minus)))
+           for members in fibers
+           for idx, plus in enumerate(members)
+           for minus in members[idx + 1:]
+           if not any(p and m for p, m in zip(plus, minus))]
     out.sort(key=lambda rel: (rel.degree, rel.vector))
     return out
 

@@ -21,8 +21,8 @@ from math import factorial
 from .exact import Rat, SparsePoly
 from .model import ModelSpec
 from .series import LaurentSeries, _raw_series, min_truncation
-from .systems import (ComponentKey, DiffSystem, VectorSolution,
-                      _component_key, _exponent, _orderings)
+from .systems import (DiffSystem, VectorSolution, _component_key,
+                      _exponent, _orderings)
 
 
 def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
@@ -88,6 +88,19 @@ def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
     return _raw_series(n, i0, terms, order)
 
 
+def _derivative(table: dict[tuple[int, ...], LaurentSeries],
+                combo: tuple[int, ...]) -> LaurentSeries:
+    """Iterated derivative of `table[()]` by the sorted index tuple `combo`,
+    memoized in `table` one `derivative_a` past each prefix.  Derivatives
+    commute exactly, truncation bookkeeping included, so every ordering of
+    the indices shares the series stored under the sorted tuple."""
+    for stop in range(1, len(combo) + 1):
+        if combo[:stop] not in table:
+            table[combo[:stop]] = table[combo[:stop - 1]].derivative_a(
+                combo[stop - 1])
+    return table[combo]
+
+
 def derivative_generating_series(base: LaurentSeries, p: int,
                                  order: int) -> LaurentSeries:
     """Generating function of the p-fold derivatives, contracted with b.
@@ -103,15 +116,13 @@ def derivative_generating_series(base: LaurentSeries, p: int,
             f"base truncation {base.truncation} cannot certify order {order} "
             f"after {p} derivatives; need at least {order + p}")
     n = base.n
-    total: LaurentSeries | None = None
+    table = {(): base}
+    pieces = []
     for combo in combinations_with_replacement(range(n), p):
-        derived = base
-        for i in combo:
-            derived = derived.derivative_a(i)
         b_exp = _exponent(n, combo)
-        piece = derived.scale(_orderings(b_exp)).mul_b_monomial(b_exp)
-        total = piece if total is None else total + piece
-    return total.pruned_to(order)
+        pieces.append(_derivative(table, combo).scale(_orderings(b_exp))
+                      .mul_b_monomial(b_exp))
+    return pieces[0].plus(*pieces[1:]).pruned_to(order)
 
 
 class PeriodFamily:
@@ -126,21 +137,15 @@ class PeriodFamily:
     def __init__(self, spec: ModelSpec, order: int):
         self.spec = spec
         self.base = period_series(spec, order)
-        self._derivatives: dict[tuple[int, ...], LaurentSeries] = {}
+        self._derivatives = {(): self.base}
 
     def derivative(self, alpha) -> LaurentSeries:
         """Iterated derivative of the base series by the multi-index alpha."""
         alpha = tuple(int(e) for e in alpha)
         if len(alpha) != self.spec.n or any(e < 0 for e in alpha):
             raise ValueError(f"bad derivative multi-index {alpha}")
-        cached = self._derivatives.get(alpha)
-        if cached is None:
-            cached = self.base
-            for i, count in enumerate(alpha):
-                for _ in range(count):
-                    cached = cached.derivative_a(i)
-            self._derivatives[alpha] = cached
-        return cached
+        combo = tuple(i for i, count in enumerate(alpha) for _ in range(count))
+        return _derivative(self._derivatives, combo)
 
     def generating_series(self, p: int, order: int) -> LaurentSeries:
         return derivative_generating_series(self.base, p, order)
@@ -150,16 +155,12 @@ def derivative_vector_solution(base: LaurentSeries, p: int) -> VectorSolution:
     """Component form of the derivative data, all pruned to a shared order."""
     if p not in (1, 2):
         raise ValueError("vector components are kept for p = 1 and 2 only")
-    n = base.n
-    components: dict[ComponentKey, LaurentSeries] = {}
-    for slot in product(range(n), repeat=p):
-        derived = base
-        for i in slot:
-            derived = derived.derivative_a(i)
-        components[_component_key(slot)] = derived
+    table = {(): base}
+    components = {_component_key(slot): _derivative(table, tuple(sorted(slot)))
+                  for slot in product(range(base.n), repeat=p)}
     common = min_truncation(*(s.truncation for s in components.values()))
     components = {key: s.pruned_to(common) for key, s in components.items()}
-    return VectorSolution(n=n, p=p, components=components)
+    return VectorSolution(n=base.n, p=p, components=components)
 
 
 # ---------------------------------------------------------------------------

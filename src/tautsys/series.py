@@ -73,10 +73,10 @@ class LaurentSeries(TermMap):
                 "in the section coefficients")
         return cls(n, i0, terms, truncation=None)
 
-    def _like(self, terms, other=None):
-        """A sum is exact only up to the lower of its two truncations."""
-        truncation = (self.truncation if other is None
-                      else min_truncation(self.truncation, other.truncation))
+    def _like(self, terms, *operands):
+        """A sum is exact only up to the lowest truncation of its operands."""
+        truncation = min_truncation(self.truncation,
+                                    *(s.truncation for s in operands))
         return _raw_series(self.n, self.i0, terms, truncation)
 
     # -- structure ----------------------------------------------------------

@@ -136,18 +136,6 @@ class DiffSystem:
         return list(zip(self.labels, self.operators))
 
 
-def _dedup(pairs: list[tuple[str, WeylOperator]]):
-    seen = set()
-    labels, operators = [], []
-    for label, op in pairs:
-        if op in seen:
-            continue
-        seen.add(op)
-        labels.append(label)
-        operators.append(op)
-    return tuple(labels), tuple(operators)
-
-
 def _generator_indices(d: int):
     return [(k, l) for k in range(d + 1) for l in range(d + 1)]
 
@@ -177,7 +165,8 @@ def build_scalar_system(spec: ModelSpec, relations: list[LatticeRelation],
     grading operator of a-degree -(1+p).  For p > 0 there follow the
     b-degree grading operator, all (p+1)-fold b-derivative annihilators and
     the transpositions exchanging the single a-derivative slot with each
-    b-derivative slot.  At p = 0 this is the base system.
+    b-derivative slot.  At p = 0 this is the base system.  The relations
+    are used as given, one toric operator each.
     """
     if p < 0:
         raise ValueError("p must be non-negative")
@@ -208,7 +197,7 @@ def build_scalar_system(spec: ModelSpec, relations: list[LatticeRelation],
                         (zero, zero, _unit(n, u), _exponent(n, (v, *rest))): 1,
                         (zero, zero, _unit(n, v), _exponent(n, (u, *rest))): -1})
                     pairs.append((f"mixed[{u},{v}]{list(rest)}", op))
-    labels, operators = _dedup(pairs)
+    labels, operators = zip(*pairs)
     return DiffSystem(kind="scalar" if p else "base", n=n, p=p,
                       beta_e=Fraction(1 + p), operators=operators,
                       labels=labels)
@@ -332,11 +321,9 @@ class VectorSolution:
 
 def vector_residual(equation: VectorEquation,
                     solution: VectorSolution) -> LaurentSeries:
-    total: LaurentSeries | None = None
-    for key, op in equation.parts:
-        piece = op.apply(solution.components[key])
-        total = piece if total is None else total + piece
-    return total
+    first, *rest = (op.apply(solution.components[key])
+                    for key, op in equation.parts)
+    return first.plus(*rest)
 
 
 def verify_vector_system(system: VectorSystem,
@@ -357,14 +344,12 @@ def scalarize(solution: VectorSolution) -> LaurentSeries:
     p = 1 sends (phi_k) to sum b_k phi_k; p = 2 sends (phi_lk) to
     sum b_l b_k phi_lk.
     """
-    total: LaurentSeries | None = None
-    for key, series in solution.components.items():
-        slot = key if solution.p > 1 else (key,)
-        piece = series.mul_b_monomial(_exponent(solution.n, slot))
-        total = piece if total is None else total + piece
-    if total is None:
+    pieces = [series.mul_b_monomial(
+                  _exponent(solution.n, key if solution.p > 1 else (key,)))
+              for key, series in solution.components.items()]
+    if not pieces:
         raise ValueError("empty vector solution")
-    return total
+    return pieces[0].plus(*pieces[1:])
 
 
 def vectorize(series: LaurentSeries, p: int) -> VectorSolution:

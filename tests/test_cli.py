@@ -189,6 +189,19 @@ def test_verify_cost_admits_the_benchmarked_runs(d, p, order, bound):
     tautsys.cli._check_verify_cost(spec, system, order)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_no_admitted_order_is_named(capsys, order):
+    """At d=3 p=1 the least order that certifies anything already exceeds
+    the verify cost, so every order gets the same one-line rejection."""
+    code, out, err = run_cli(capsys, "verify-periods", "--d", "3", "--p",
+                             "1", "--order", str(order), "--degree-bound",
+                             "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: verify-periods admits no order at d=3 "
+                          "p=1 degree bound 2: ")
+    assert err.count("\n") == 1
+
+
 def test_too_low_order_names_the_minimum(capsys):
     for bound in (2, 3, 4):
         code, out, err = run_cli(capsys, "verify-periods", "--d", "2",

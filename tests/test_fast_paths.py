@@ -8,23 +8,33 @@ builders write each operator's terms directly and treat every p in one
 loop; the operator-arithmetic builders below, with one branch per p, are
 the references they must reproduce label for label.  `fourier` normal
 orders each term's image in one pass; the per-term composition it replaced
-is the reference on every system operator and a seeded battery.
+is the reference on every system operator and a seeded battery.  Period
+derivatives come from one memo table, so permuted slots share one series;
+the per-multiset and per-multi-index chains it replaced are the references.
+`TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
+its reference.
 """
 
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tautsys.exact import FamilyError, SparsePoly
 from tautsys.model import build_projective_model, lattice_relations
-from tautsys.periods import derivative_vector_solution, period_series
+from tautsys.periods import (PeriodFamily, derivative_generating_series,
+                             derivative_vector_solution, period_series)
 from tautsys.serialize import series_to_obj
 from tautsys.series import LaurentSeries
-from tautsys.systems import (VectorSolution, build_scalar_system,
-                             build_tautological_system, build_vector_system,
-                             scalarize, symmetry_matrix, vectorize)
+from tautsys.systems import (VectorSolution, _exponent, _orderings,
+                             build_scalar_system, build_tautological_system,
+                             build_vector_system, scalarize, symmetry_matrix,
+                             vectorize)
 from tautsys.weyl import (DUAL_PAIR, WeylOperator, apply_operator, compose,
                           coord_a, coord_b, d_a, d_b, fourier)
 
@@ -401,7 +411,7 @@ def test_system_builders_match_operator_arithmetic_references(
             assert [(eq.label, eq.parts) for eq in system.equations] == rows
 
 
-@pytest.mark.parametrize("d,order", [(1, 10), (2, 5)])
+@pytest.mark.parametrize("d,order", [(1, 10), (2, 5), (3, 3)])
 def test_component_maps_match_per_p_references(d, order):
     spec = build_projective_model(d, ordering="interior-first")
     base = period_series(spec, order).scale(Fraction(3, 7))
@@ -465,9 +475,10 @@ def test_fourier_matches_per_term_composition_on_systems(d, bounds, ps,
 
 
 @st.composite
-def operators(draw):
-    n = draw(st.integers(1, 3))
-    families = draw(st.sampled_from(sorted(DUAL_PAIR)))
+def operators(draw, n=None, families=None):
+    n = draw(st.integers(1, 3)) if n is None else n
+    families = (draw(st.sampled_from(sorted(DUAL_PAIR))) if families is None
+                else families)
     exponents = st.tuples(*(st.integers(0, 3) for _ in range(n)))
     terms = draw(st.dictionaries(
         st.tuples(exponents, exponents, exponents, exponents), rationals,
@@ -482,3 +493,118 @@ def test_fourier_matches_per_term_composition_on_random_operators(op):
     assert image == ref_fourier(op)
     assert image.families == DUAL_PAIR[op.families]
     assert fourier(image) == ref_fourier(ref_fourier(op))
+
+
+# ---------------------------------------------------------------------------
+# Period derivatives against per-chain references
+# ---------------------------------------------------------------------------
+
+
+def ref_generating_series(base, p, order):
+    """One derivative chain per multiset, summed pairwise."""
+    n = base.n
+    total = None
+    for combo in combinations_with_replacement(range(n), p):
+        derived = base
+        for i in combo:
+            derived = derived.derivative_a(i)
+        b_exp = _exponent(n, combo)
+        piece = derived.scale(_orderings(b_exp)).mul_b_monomial(b_exp)
+        total = piece if total is None else total + piece
+    return total.pruned_to(order)
+
+
+def ref_derivative(base, alpha):
+    """The chain by multi-index, one variable after another."""
+    derived = base
+    for i, count in enumerate(alpha):
+        for _ in range(count):
+            derived = derived.derivative_a(i)
+    return derived
+
+
+def assert_same_series(fast, slow):
+    assert fast == slow
+    assert fast.truncation == slow.truncation
+    assert series_to_obj(fast) == series_to_obj(slow)
+
+
+# (d, base series order); the output order is the base order minus p
+DERIVATIVE_CASES = [(1, 12), (2, 5), (3, 3)]
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,order", DERIVATIVE_CASES)
+def test_generating_series_matches_per_multiset_chains(d, order, ordering):
+    base = period_series(build_projective_model(d, ordering=ordering),
+                         order)
+    for p in (1, 2, 3):
+        assert_same_series(derivative_generating_series(base, p, order - p),
+                           ref_generating_series(base, p, order - p))
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,order", DERIVATIVE_CASES)
+def test_period_family_derivatives_match_chains(d, order, ordering):
+    family = PeriodFamily(build_projective_model(d, ordering=ordering),
+                          order)
+    rng = random.Random(d)
+    for _ in range(12):
+        alpha = [0] * family.spec.n
+        for _ in range(rng.randint(0, 3)):
+            alpha[rng.randrange(family.spec.n)] += 1
+        assert_same_series(family.derivative(alpha),
+                           ref_derivative(family.base, alpha))
+
+
+# ---------------------------------------------------------------------------
+# One-pass sums against the left fold of +
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def x_polys(draw, arity=N):
+    exponents = st.tuples(*(st.integers(0, 3) for _ in range(arity)))
+    return SparsePoly("x", arity,
+                      draw(st.dictionaries(exponents, rationals, max_size=5)))
+
+
+@st.composite
+def summands(draw):
+    """One to five maps of one shape, series (with unequal and None
+    truncations), x-polynomials or operators over either family pair,
+    plus one map of another shape."""
+    kind = draw(st.sampled_from(["series", "poly", "operator"]))
+    if kind == "series":
+        i0 = draw(st.integers(0, N - 1))
+        same, other = series(i0=i0), series(i0=(i0 + 1) % N)
+    elif kind == "poly":
+        same, other = x_polys(), x_polys(arity=N + 1)
+    else:
+        families, dual = draw(st.sampled_from(sorted(DUAL_PAIR.items())))
+        same, other = operators(N, families), operators(N, dual)
+    return draw(st.lists(same, min_size=1, max_size=5)), draw(other)
+
+
+@battery
+@given(summands(), st.data())
+def test_plus_matches_left_fold_and_checks_every_operand(maps_and_stranger,
+                                                         data):
+    maps, stranger = maps_and_stranger
+    total, fold = maps[0].plus(*maps[1:]), reduce(add, maps)
+    assert total == fold
+    assert (getattr(total, "truncation", None)
+            == getattr(fold, "truncation", None))
+    negated = [-m for m in maps]
+    cancelled = maps[0].plus(*maps[1:], *negated)
+    assert cancelled.is_zero()
+    assert cancelled == reduce(add, maps + negated)
+    if isinstance(total, LaurentSeries):
+        assert_canonical(total)
+        lowest = min((m.truncation for m in maps if m.truncation is not None),
+                     default=None)
+        assert total.truncation == cancelled.truncation == lowest
+    at = data.draw(st.integers(0, len(maps)))
+    operands = [*maps[:at], stranger, *maps[at:]]
+    with pytest.raises(FamilyError):
+        operands[0].plus(*operands[1:])

@@ -108,6 +108,24 @@ def test_relation_pairs_are_bounded_before_pairing():
             lattice_relations(spec, bound)
 
 
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds", [(1, (2, 3, 4)), (2, (2, 3, 4)),
+                                      (3, (2,))])
+def test_relations_are_distinct_up_to_sign_by_construction(d, bounds,
+                                                           ordering):
+    """Every bound the pair cap admits: no relation needs a sign flip and
+    none repeats up to sign, so the list needs no deduplication pass."""
+    spec = build_projective_model(d, ordering=ordering)
+    for bound in bounds:
+        relations = lattice_relations(spec, bound)
+        vectors = [rel.vector for rel in relations]
+        assert all(next(e for e in v if e) > 0 for v in vectors)
+        classes = {frozenset((v, tuple(-e for e in v))) for v in vectors}
+        assert len(classes) == len(vectors)
+        assert relations == sorted(
+            relations, key=lambda rel: (rel.degree, rel.vector))
+
+
 def test_lattice_relation_validation():
     with pytest.raises(ValueError):
         LatticeRelation((0, 0, 0))

@@ -39,3 +39,52 @@ def test_term_map_arithmetic_has_one_home():
                   and node.name in ("_raw_poly", "_raw")):
                 homes.setdefault(node.name, []).append(path.stem)
     assert homes == {name: ["exact.TermMap"] for name in TERM_MAP_METHODS}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_sums_accumulate_in_one_pass():
+    """A sum of many term maps is one `plus` call; a loop that rebuilds a
+    running total with `+` copies the total at every step."""
+    found = set()
+    for path in SOURCES:
+        for loop in ast.walk(_parse(path)):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if not (isinstance(node, ast.Assign)
+                        and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    continue
+                name = node.targets[0].id
+                if any(isinstance(sub, ast.BinOp)
+                       and isinstance(sub.op, ast.Add)
+                       and any(isinstance(side, ast.Name) and side.id == name
+                               for side in (sub.left, sub.right))
+                       for sub in ast.walk(node.value)):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []
+
+
+def test_period_derivatives_have_one_walk():
+    """Every derivative of the period series is read from the one memo
+    table that `periods._derivative` fills."""
+    found = []
+    for path in SOURCES:
+        if path.name not in ("periods.py", "systems.py"):
+            continue
+        tree = _parse(path)
+        home = {id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef)
+                and func.name == "_derivative"
+                for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "derivative_a"
+                  and id(node) not in home]
+    assert found == []

@@ -349,13 +349,20 @@ def test_substituting_numeric_b_keeps_pure_a_operators_annihilating(line):
 @pytest.mark.parametrize("d,bounds,top_p", [(1, (2, 3, 4), 3),
                                             (2, (2, 3, 4), 3), (3, (2,), 1)])
 def test_system_size_is_counted_before_building(d, bounds, top_p):
+    """Every p the command line admits and the last p the operator cap
+    admits (p = 44 in the library at d = 1); each relation gives one toric
+    operator and no two operators coincide."""
     spec = build_projective_model(d)
     for bound in bounds:
         rels = lattice_relations(spec, bound)
-        for p in range(top_p + 1):
+        edge = top_p
+        while (scalar_system_size(spec, len(rels), edge + 1)
+               <= MAX_SYSTEM_OPERATORS):
+            edge += 1
+        for p in sorted({*range(top_p + 1), edge}):
             system = build_scalar_system(spec, rels, p)
             assert scalar_system_size(spec, len(rels), p) == len(
-                system.operators)
+                system.operators) == len(set(system.operators))
     if d == 2:
         assert len(system.operators) == MAX_SYSTEM_OPERATORS
     if d == 3:
