@@ -7,10 +7,9 @@ The exit status is 1 exactly when a verification verdict is negative and
 
 Bounds enforced here keep every invocation at desk scale:
 d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
-verify-periods cost (operator terms x series terms) of at most 200 000,
+verify-periods cost (operator terms x series terms) of at most 3 400 000,
 checked before the series is built, as is the least verify-periods order
-that certifies anything (the degree bound or less); when that least order
-already exceeds the cost, no order is admitted.  The library adds
+that certifies anything (the degree bound or less).  The library adds
 k + l <= 4 for spans, filtration p <= 5, membership systems of at most
 8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of at most
 35 280 entries over all their parameters, at most 4764 candidate relation
@@ -48,13 +47,16 @@ MAX_ORDER = 30
 MAX_P = 3
 DEGREE_BOUNDS = (2, 4)
 #: operator terms x period series terms that verify-periods admits; the
-#: costliest admitted runs take up to about 5 s on a 2-core VM (Python 3.11)
-MAX_VERIFY_COST = 200_000
+#: slowest admitted run, d=2 p=1 order 13 at degree bound 3 (cost 3 145 501),
+#: takes 3.3 to 4.8 s on a 2-core VM (Python 3.11), and the cheapest run
+#: over 5 s costs 3 440 338 (d=2 p=1 order 15 at degree bound 2, 6.4 s)
+MAX_VERIFY_COST = 3_400_000
 #: terms of the period series at d = 2 and 3 by order 0, 1, ..; one order
 #: more exceeds MAX_VERIFY_COST even with the smallest system (at d = 1 the
 #: series has one term per even order)
-PERIOD_TERMS = {2: (1, 1, 4, 10, 25, 49, 103, 184, 331, 554, 911, 1424),
-                3: (1, 1, 10, 70)}
+PERIOD_TERMS = {2: (1, 1, 4, 10, 25, 49, 103, 184, 331, 554, 911, 1424, 2204,
+                    3278, 4817, 6896, 9746, 13487, 18480),
+                3: (1, 1, 10, 70, 465)}
 
 
 class UsageError(ValueError):
@@ -101,15 +103,8 @@ def _verify_cost(spec: ModelSpec, system, order: int) -> float:
 def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
     """Reject an order too low to certify anything: the residuals are exact
     through `order` plus the system's worst index shift, which must not be
-    negative.  When even the least such order exceeds MAX_VERIFY_COST, no
-    order is admitted and every one is rejected alike."""
+    negative.  Every (d, p, degree bound) admits its least such order."""
     least = -min(index_shift(op, spec.i0) for op in system.operators)
-    if _verify_cost(spec, system, least) > MAX_VERIFY_COST:
-        raise ResourceBoundError(
-            f"verify-periods admits no order at d={spec.d} p={system.p} "
-            f"degree bound {bound}: the least order that certifies "
-            f"anything, {least}, exceeds the supported cost "
-            f"{MAX_VERIFY_COST} (operator terms x series terms)")
     if order < least:
         raise UsageError(
             f"order {order} certifies nothing at d={spec.d} p={system.p} "

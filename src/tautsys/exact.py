@@ -58,12 +58,14 @@ def add_term(terms: dict, key: Hashable, coeff: Rat) -> None:
     """Accumulate `coeff` into a sparse term map, in place.
 
     A key whose coefficient cancels to zero is dropped at once, so the map
-    never holds zeros and never needs a pruning pass.
+    never holds zeros and never needs a pruning pass.  A new key takes the
+    coefficient as it is, so sums of ints stay ints and no zero is added.
     """
-    value = terms.get(key, _ZERO) + coeff
+    old = terms.get(key)
+    value = coeff if old is None else old + coeff
     if value:
         terms[key] = value
-    elif key in terms:
+    elif old is not None:
         del terms[key]
 
 

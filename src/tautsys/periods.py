@@ -23,6 +23,7 @@ from .model import ModelSpec
 from .series import LaurentSeries, _raw_series, min_truncation
 from .systems import (DiffSystem, VectorSolution, _component_key,
                       _exponent, _orderings)
+from .weyl import DerivativeTable, apply_operator
 
 
 def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
@@ -193,14 +194,17 @@ def verify_annihilation(system: DiffSystem,
                         series: LaurentSeries) -> AnnihilationReport:
     """Apply every operator and report the exact residuals.
 
-    `verified_order` is the expansion index through which vanishing is
-    certified (None means exact at every order).  Insufficient input
-    truncation is not an error; it only lowers the verified order, possibly
-    below zero, in which case the zero flags are vacuous.
+    The operators read the derivatives of `series` from one shared
+    `DerivativeTable`, dropped when the call returns.  `verified_order` is
+    the expansion index through which vanishing is certified (None means
+    exact at every order).  Insufficient input truncation is not an error;
+    it only lowers the verified order, possibly below zero, in which case
+    the zero flags are vacuous.
     """
+    table = DerivativeTable(series, system.operators)
     entries = []
     for label, op in system.labelled():
-        residual = op.apply(series)
+        residual = apply_operator(op, series, table)
         entries.append(ResidualEntry(
             label=label,
             residual=residual,

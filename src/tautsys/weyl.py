@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Mapping
+from operator import lshift
+from typing import Iterable, Mapping, Sequence
 
 from .exact import FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat
-from .series import LaurentSeries, _raw_series
+from .series import LaurentSeries, _index, _raw_series
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -208,12 +209,14 @@ def index_shift(op: WeylOperator, i0: int) -> int:
                for (c1, _, d1, _) in op.terms)
 
 
-def apply_operator(op: WeylOperator,
-                   target: LaurentSeries | SparsePoly) -> LaurentSeries:
+def apply_operator(op: WeylOperator, target: LaurentSeries | SparsePoly,
+                   table: "DerivativeTable | None" = None) -> LaurentSeries:
     """Apply the operator to a series (or a polynomial viewed as one).
 
     The output truncation is the input truncation plus `index_shift`, so
-    the result never claims orders it cannot certify.
+    the result never claims orders it cannot certify.  `table` holds the
+    derivatives of `target` shared by the operators of a system; without
+    one, a private table is built for this operator alone.
     """
     if isinstance(target, SparsePoly):
         target = LaurentSeries.from_poly(target)
@@ -225,34 +228,148 @@ def apply_operator(op: WeylOperator,
         raise FamilyError(f"arity mismatch: operator n={op.n}, series n={target.n}")
     if not op.terms:
         return LaurentSeries.zero(target.n, target.i0, truncation=None)
+    if table is None:
+        table = DerivativeTable(target, (op,))
+    elif table.series is not target:
+        raise ValueError("the derivative table belongs to another series")
 
     truncation = (None if target.truncation is None
                   else target.truncation + index_shift(op, target.i0))
+    return _raw_series(target.n, target.i0, table.apply(op, truncation),
+                       truncation)
 
-    out: dict[TermKey, Rat] = {}
-    for (c1, c2, d1, d2), oc in op.terms.items():
-        for (a_exp, b_exp), sc in target.terms.items():
-            factor = 1
-            for m, g in zip(a_exp, d1):
-                if g:
-                    factor *= _falling(m, g)
-                    if not factor:
-                        break
-            if not factor:
+
+def _pack(exponents: Sequence[int], width: int) -> int:
+    """One int holding each exponent in a `width`-bit slot, the first
+    exponent in the lowest slot.  An exponent that does not fit its slot
+    raises rather than spill into the next one."""
+    if min(exponents) < 0 or max(exponents) >> width:
+        raise OverflowError(
+            f"exponents {tuple(exponents)} do not fit {width}-bit slots")
+    return sum(map(lshift, exponents, range(0, len(exponents) * width, width)))
+
+
+class DerivativeTable:
+    """The derivatives of one series that a set of operators takes, packed.
+
+    A series key (a, b) becomes one int with a slot per variable, a_0 ..
+    a_{n-1} and then b_0 .. b_{n-1}; the a_{i0} slot holds its exponent
+    plus `offset`, the largest D_{a_{i0}} order of the operators less the
+    most negative a_{i0} exponent, so no slot goes negative.  Slots are
+    wide enough for the largest exponent plus the largest coordinate power
+    of the operators.  Above the last slot the key carries the expansion
+    index, with no bound, so a truncation cut reads one shift.  A derivative
+    step is then a shift, a mask and a subtraction, and a coordinate factor
+    one addition, with no carry from slot to slot; an operator reaching past
+    those bounds raises.
+
+    Derivatives are memoized by their orders d1 + d2, each one step past
+    its prefix (the orders with the last nonzero one lowered), as in
+    `periods._derivative`; a term whose falling factor vanishes is never
+    stored.  Packed coordinate factors are memoized by c1 + c2.
+    """
+
+    __slots__ = ("series", "width", "offset", "shift", "order_i0", "_top",
+                 "_maps", "_shifts")
+
+    def __init__(self, series: LaurentSeries,
+                 operators: Iterable[WeylOperator]):
+        i0 = series.i0
+        shift = order_i0 = 0
+        for op in operators:
+            for c1, c2, d1, _ in op.terms:
+                shift = max(shift, *c1, *c2)
+                order_i0 = max(order_i0, d1[i0])
+        keys = series.terms.keys()
+        lowest = min((a[i0] for a, _ in keys), default=0)
+        offset = order_i0 - min(lowest, 0)
+        largest = max((max(*a, *b, a[i0] + offset) for a, b in keys),
+                      default=offset)
+        self.series = series
+        self.width = (largest + shift).bit_length() or 1
+        self.offset = offset
+        self.shift = shift
+        self.order_i0 = order_i0
+        self._top = top = 2 * series.n * self.width
+        packed = {}
+        for (a, b), coeff in series.terms.items():
+            exponents = [*a, *b]
+            exponents[i0] += offset
+            key = _pack(exponents, self.width) | _index(a, i0) << top
+            packed[key] = coeff
+        self._maps = {(0,) * (2 * series.n): packed}
+        self._shifts: dict[tuple[int, ...], int] = {}
+
+    def derivative(self, orders: tuple[int, ...]) -> dict[int, Rat]:
+        """Packed map of the series differentiated `orders[k]` times in slot
+        k (0 .. n-1 for a, n .. 2n-1 for b)."""
+        maps = self._maps
+        if orders not in maps:
+            slot = len(orders) - 1
+            while not orders[slot]:
+                slot -= 1
+            offset = 0
+            if slot == self.series.i0:
+                if orders[slot] > self.order_i0:
+                    raise OverflowError(
+                        f"D_a{slot}^{orders[slot]} reaches past the a{slot} "
+                        "slot of this derivative table")
+                offset = self.offset
+            prefix = self.derivative(
+                orders[:slot] + (orders[slot] - 1,) + orders[slot + 1:])
+            width = self.width
+            at = slot * width
+            unit, mask = 1 << at, (1 << width) - 1
+            if slot < self.series.n and slot != self.series.i0:
+                unit |= 1 << self._top
+            step = {}
+            for key, coeff in prefix.items():
+                e = (key >> at & mask) - offset
+                if e:
+                    step[key - unit] = coeff * e
+            maps[orders] = step
+        return maps[orders]
+
+    def _shift(self, powers: tuple[int, ...]) -> int:
+        """Packed coordinate factor with the exponents `powers`."""
+        if powers not in self._shifts:
+            if max(powers) > self.shift:
+                raise OverflowError(
+                    f"coordinate powers {powers} reach past the slots of "
+                    "this derivative table")
+            a_powers = powers[:self.series.n]
+            self._shifts[powers] = (_pack(powers, self.width)
+                                    | _index(a_powers, self.series.i0)
+                                    << self._top)
+        return self._shifts[powers]
+
+    def apply(self, op: WeylOperator,
+              truncation: int | None) -> dict[TermKey, Rat]:
+        """The nonzero terms of the operator applied to the series up to
+        expansion index `truncation` (None: all of them), unpacked."""
+        out: dict[int, Rat] = {}
+        for (c1, c2, d1, d2), coeff in op.terms.items():
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+            derivative = self.derivative(d1 + d2)
+            shift = self._shift(c1 + c2)
+            if not out:
+                out = {key + shift: coeff * c for key, c in derivative.items()}
                 continue
-            for q, g in zip(b_exp, d2):
-                if g:
-                    factor *= _falling(q, g)
-                    if not factor:
-                        break
-            if not factor:
-                continue
-            key = (
-                tuple(m - g + c for m, g, c in zip(a_exp, d1, c1)),
-                tuple(q - g + c for q, g, c in zip(b_exp, d2, c2)),
-            )
-            add_term(out, key, oc * sc * factor)
-    return _raw_series(target.n, target.i0, out, truncation)
+            get = out.get
+            for key, c in derivative.items():
+                key += shift
+                out[key] = get(key, 0) + coeff * c
+        n, i0, width, top = self.series.n, self.series.i0, self.width, self._top
+        mask = (1 << width) - 1
+        ats = range(0, top, width)
+        terms = {}
+        for key, coeff in out.items():
+            if coeff and (truncation is None or key >> top <= truncation):
+                exponents = [key >> at & mask for at in ats]
+                exponents[i0] -= self.offset
+                terms[(tuple(exponents[:n]), tuple(exponents[n:]))] = coeff
+        return terms
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def test_resource_bounds_rejected(capsys):
     "verify-periods --d 2 --order 30",
     "verify-periods --d 2 --p 1 --order 15",
     "verify-periods --d 3 --p 2 --order 2",
-    "verify-periods --d 3 --order 4 --degree-bound 2",
-    "verify-periods --d 3 --p 1 --order 3 --degree-bound 2",
+    "verify-periods --d 3 --order 5 --degree-bound 2",
+    "verify-periods --d 3 --p 1 --order 4 --degree-bound 2",
     "verify-periods --d 3 --order 12 --degree-bound 2",
     "verify-periods --d 3 --p 1 --order 1 --degree-bound 2",
     "verify-periods --d 2 --p 3 --order 1 --degree-bound 4",
@@ -191,15 +191,20 @@ def test_verify_cost_admits_the_benchmarked_runs(d, p, order, bound):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_no_admitted_order_is_named(capsys, order):
-    """At d=3 p=1 the least order that certifies anything already exceeds
-    the verify cost, so every order gets the same one-line rejection."""
+    """d=3 p=1 once admitted no order at all; now every (d, p, degree bound)
+    admits its least certifying order.  At d=3 p=1 that is order 2, which
+    verifies order 0; order 1 is rejected naming it."""
     code, out, err = run_cli(capsys, "verify-periods", "--d", "3", "--p",
                              "1", "--order", str(order), "--degree-bound",
                              "2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: verify-periods admits no order at d=3 "
-                          "p=1 degree bound 2: ")
-    assert err.count("\n") == 1
+    if order < 2:
+        assert (code, out) == (2, "")
+        assert err.endswith("the minimum order is 2\n")
+        assert err.count("\n") == 1
+        return
+    assert code == 0
+    assert f"verified-order: {order - 2}\n" in out
+    assert out.endswith("verdict: PASS\n")
 
 
 def test_too_low_order_names_the_minimum(capsys):

@@ -7,11 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, PoleError,
-                           Solution, SparsePoly, replay_witness, solve_exact)
+                           Solution, SparsePoly, add_term, replay_witness,
+                           solve_exact)
 
 
 def x_poly(terms):
     return SparsePoly("x", 2, terms)
+
+
+def test_add_term_keeps_ints_and_fractions_apart():
+    """A sum of ints stays an int and a sum with a Fraction stays a
+    Fraction; a key that cancels is dropped."""
+    terms = {}
+    for key, coeff in [("x", 3), ("y", -2), ("x", 4), ("y", 2)]:
+        add_term(terms, key, coeff)
+    assert terms == {"x": 7} and type(terms["x"]) is int
+    add_term(terms, "z", Fraction(4, 2))
+    add_term(terms, "x", Fraction(1, 2))
+    assert terms == {"x": Fraction(15, 2), "z": 2}
+    assert all(type(c) is Fraction for c in terms.values())
 
 
 def test_monomial_product():

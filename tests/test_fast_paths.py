@@ -12,12 +12,14 @@ is the reference on every system operator and a seeded battery.  Period
 derivatives come from one memo table, so permuted slots share one series;
 the per-multiset and per-multi-index chains it replaced are the references.
 `TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
-its reference.
+its reference.  `apply_operator` reads packed derivatives from a table
+shared by the operators of a system; the pair-by-pair kernel it replaced is
+the reference on every system operator and a seeded battery.
 """
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -25,18 +27,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tautsys.exact import FamilyError, SparsePoly
+from tautsys.exact import FamilyError, SparsePoly, add_term
 from tautsys.model import build_projective_model, lattice_relations
 from tautsys.periods import (PeriodFamily, derivative_generating_series,
-                             derivative_vector_solution, period_series)
+                             derivative_vector_solution, period_series,
+                             verify_annihilation)
 from tautsys.serialize import series_to_obj
-from tautsys.series import LaurentSeries
+from tautsys.series import LaurentSeries, _raw_series
 from tautsys.systems import (VectorSolution, _exponent, _orderings,
                              build_scalar_system, build_tautological_system,
                              build_vector_system, scalarize, symmetry_matrix,
                              vectorize)
-from tautsys.weyl import (DUAL_PAIR, WeylOperator, apply_operator, compose,
-                          coord_a, coord_b, d_a, d_b, fourier)
+from tautsys.weyl import (DUAL_PAIR, DerivativeTable, WeylOperator, _pack,
+                          apply_operator, compose, coord_a, coord_b, d_a, d_b,
+                          euler_a, fourier, index_shift)
 
 
 def state_growth_period_series(spec, order):
@@ -452,6 +456,13 @@ def ref_fourier(op):
     return out
 
 
+@cache
+def scalar_system(d, ordering, bound, p):
+    """One build of each system for the tests that only read systems."""
+    spec = build_projective_model(d, ordering=ordering)
+    return build_scalar_system(spec, lattice_relations(spec, bound), p)
+
+
 # (d, degree bounds, scalar orders p)
 FOURIER_CASES = [(1, (2, 3), range(4)), (2, (2, 3), range(4)),
                  (3, (2,), range(2))]
@@ -461,12 +472,10 @@ FOURIER_CASES = [(1, (2, 3), range(4)), (2, (2, 3), range(4)),
 @pytest.mark.parametrize("d,bounds,ps", FOURIER_CASES)
 def test_fourier_matches_per_term_composition_on_systems(d, bounds, ps,
                                                          ordering):
-    spec = build_projective_model(d, ordering=ordering)
     seen = set()
     for bound in bounds:
-        relations = lattice_relations(spec, bound)
         for p in ps:
-            seen.update(build_scalar_system(spec, relations, p).operators)
+            seen.update(scalar_system(d, ordering, bound, p).operators)
     for op in seen:
         image = fourier(op)
         assert image == ref_fourier(op)
@@ -608,3 +617,195 @@ def test_plus_matches_left_fold_and_checks_every_operand(maps_and_stranger,
     operands = [*maps[:at], stranger, *maps[at:]]
     with pytest.raises(FamilyError):
         operands[0].plus(*operands[1:])
+
+
+# ---------------------------------------------------------------------------
+# Packed derivative tables against the pair-by-pair kernel
+# ---------------------------------------------------------------------------
+
+
+def ref_falling(value, count):
+    out = 1
+    for t in range(count):
+        out *= value - t
+    return out
+
+
+def ref_apply_operator(op, target):
+    """Visit every (operator term, series term) pair, multiply the falling
+    factors of the pair and accumulate under a fresh tuple key."""
+    if isinstance(target, SparsePoly):
+        target = LaurentSeries.from_poly(target)
+    if not op.terms:
+        return LaurentSeries.zero(target.n, target.i0, truncation=None)
+    truncation = (None if target.truncation is None
+                  else target.truncation + index_shift(op, target.i0))
+    out = {}
+    for (c1, c2, d1, d2), oc in op.terms.items():
+        for (a_exp, b_exp), sc in target.terms.items():
+            factor = 1
+            for m, g in zip(a_exp, d1):
+                if g:
+                    factor *= ref_falling(m, g)
+                    if not factor:
+                        break
+            if not factor:
+                continue
+            for q, g in zip(b_exp, d2):
+                if g:
+                    factor *= ref_falling(q, g)
+                    if not factor:
+                        break
+            if not factor:
+                continue
+            key = (
+                tuple(m - g + c for m, g, c in zip(a_exp, d1, c1)),
+                tuple(q - g + c for q, g, c in zip(b_exp, d2, c2)),
+            )
+            add_term(out, key, oc * sc * factor)
+    return _raw_series(target.n, target.i0, out, truncation)
+
+
+def exact_copy(series):
+    """The same terms claimed exact at every order, so no residual term is
+    cut away before the comparison."""
+    return _raw_series(series.n, series.i0, series.terms, None)
+
+
+# (d, degree bounds, {p: order of the generating series}), every bound and
+# p the caps admit
+APPLY_CASES = [(1, (2, 3, 4), {0: 8, 1: 6, 2: 6, 3: 6}),
+               (2, (2, 3, 4), {0: 3, 1: 1, 2: 1, 3: 0}),
+               (3, (2,), {0: 2, 1: 0})]
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds,orders", APPLY_CASES)
+def test_apply_operator_matches_pair_kernel_on_systems(d, bounds, orders,
+                                                       ordering):
+    """Each residual of `verify_annihilation`, read from the table the
+    system shares, is the pair kernel's residual on the exact copy of the
+    series cut at the residual's order.  In the CLI's ordering a private
+    table per operator gives the uncut residual too."""
+    spec = build_projective_model(d, ordering=ordering)
+    for p, order in orders.items():
+        base = period_series(spec, order + p)
+        data = derivative_generating_series(base, p, order) if p else base
+        exact = exact_copy(data)
+        systems = [scalar_system(d, ordering, bound, p) for bound in bounds]
+        # a label names the same operator at every degree bound
+        operators = {label: op for system in systems
+                     for label, op in system.labelled()}
+        full = {}
+        for label, op in operators.items():
+            full[label] = ref_apply_operator(op, exact)
+            if ordering == "interior-first":
+                assert_same_series(apply_operator(op, exact), full[label])
+        for system in systems:
+            report = verify_annihilation(system, data)
+            for (label, op), entry in zip(system.labelled(), report.entries):
+                assert entry.label == label and op == operators[label]
+                cut = data.truncation + index_shift(op, spec.i0)
+                assert_same_series(entry.residual, full[label].pruned_to(cut))
+
+
+@st.composite
+def apply_cases(draw, min_size=0):
+    """A series, b-graded or not, with a_{i0} exponents down to -3, and an
+    operator whose terms take up to three D_{a_{i0}}, coordinate powers at
+    i0 and derivatives in b, with non-integral coefficients among them;
+    each has at least `min_size` terms."""
+    i0 = draw(st.integers(0, N - 1))
+    small = st.tuples(*(st.integers(0, 1) for _ in range(N)))
+    keys = st.tuples(st.tuples(*(st.integers(-3, 1) if i == i0
+                                 else st.integers(0, 3) for i in range(N))),
+                     small if draw(st.booleans()) else st.just((0,) * N))
+    terms = draw(st.dictionaries(keys, rationals.filter(bool),
+                                 min_size=min_size, max_size=8))
+    target = LaurentSeries(N, i0, terms, draw(truncations))
+    coord = st.tuples(*(st.integers(0, 2) for _ in range(N)))
+    deriv = st.tuples(*(st.integers(0, 3 if i == i0 else 2)
+                        for i in range(N)))
+    op = WeylOperator(N, draw(st.dictionaries(
+        st.tuples(coord, small, deriv, small), rationals.filter(bool),
+        min_size=min_size, max_size=4)))
+    return op, target
+
+
+@battery
+@given(apply_cases(), st.data())
+def test_apply_operator_matches_pair_kernel_on_random_operators(case, data):
+    op, target = case
+    slow, fast = ref_apply_operator(op, target), apply_operator(op, target)
+    assert_same_series(fast, slow)
+    assert_canonical(fast)
+    other, _ = data.draw(apply_cases())
+    table = DerivativeTable(target, [other, op])
+    assert_same_series(apply_operator(op, target, table), slow)
+    assert_same_series(apply_operator(other, target, table),
+                       ref_apply_operator(other, target))
+
+
+@battery
+@given(st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(N))),
+                       rationals, max_size=5),
+       st.sampled_from(["a", "b"]), apply_cases())
+def test_apply_operator_matches_pair_kernel_on_polynomials(terms, family,
+                                                           case):
+    poly = SparsePoly(family, N, terms)
+    op = case[0]
+    assert_same_series(apply_operator(op, poly), ref_apply_operator(op, poly))
+
+
+@battery
+@given(apply_cases(min_size=1), st.integers(-3, 3))
+def test_cancelling_terms_leave_no_residual(case, degree):
+    """On a series of a-degree k, any operator composed with E_a - k
+    cancels term by term inside the accumulation."""
+    op, target = case
+    i0 = target.i0
+    terms = {}
+    for (a, b), coeff in target.terms.items():
+        a = list(a)
+        a[i0] = degree - (sum(a) - a[i0])
+        terms[(tuple(a), b)] = coeff
+    homogeneous = LaurentSeries(N, i0, terms, target.truncation)
+    cancelling = compose(op, euler_a(N) - degree)
+    fast = apply_operator(cancelling, homogeneous)
+    assert fast.is_zero()
+    assert_same_series(fast, ref_apply_operator(cancelling, homogeneous))
+
+
+def test_packing_keeps_huge_exponents_apart():
+    """Slots widen with the data: exponents past 2^20, and a_{i0} exponents
+    below -2^20 under D_{a_{i0}}^3, come out as the pair kernel has them."""
+    big = 2 ** 20
+    target = LaurentSeries(3, 0, {
+        ((-big - 7, big + 5, 3), (0, big + 1, 0)): 2,
+        ((-1, 0, big), (1, 0, 0)): Fraction(-1, 3),
+        ((2, 1, 0), (0, 0, 0)): 5}, truncation=2 * big)
+    op = WeylOperator(3, {
+        ((0, 0, 0), (0, 0, 0), (3, 0, 0), (0, 0, 0)): 1,
+        ((1, 2, 0), (0, 0, 1), (0, 1, 2), (0, 1, 0)): Fraction(3, 2),
+        ((2, 0, 0), (0, 0, 0), (3, 0, 1), (1, 0, 0)): -4})
+    for s in (target, exact_copy(target)):
+        assert_same_series(apply_operator(op, s), ref_apply_operator(op, s))
+    table = DerivativeTable(target, [op])
+    assert table.width > 20
+
+
+def test_packing_refuses_what_does_not_fit():
+    assert _pack([3, 0, 7], 3) == 3 | 7 << 6
+    with pytest.raises(OverflowError):
+        _pack([3, 8, 0], 3)
+    with pytest.raises(OverflowError):
+        _pack([3, -1, 0], 3)
+    spec = build_projective_model(1)
+    target = period_series(spec, 6)
+    table = DerivativeTable(target, [d_a(3, spec.i0)])
+    for op in (d_a(3, spec.i0) * d_a(3, spec.i0),
+               coord_a(3, spec.i0) * coord_a(3, spec.i0)):
+        with pytest.raises(OverflowError):
+            apply_operator(op, target, table)
+    with pytest.raises(ValueError):
+        apply_operator(d_a(3, spec.i0), exact_copy(target), table)

@@ -154,6 +154,17 @@ def test_second_derivative_is_symmetric(line):
     assert phi.is_a_homogeneous(-3)
 
 
+@pytest.mark.parametrize("d,order", [(1, 10), (2, 5), (3, 3)])
+def test_generating_series_coefficients_are_ints(d, order):
+    """The period coefficients are ints, and so are their derivatives and
+    the sums of those, printed and hashed as the equal Fractions would be."""
+    base = period_series(build_projective_model(d), order)
+    for p in (1, 2, 3):
+        phi = derivative_generating_series(base, p, order - p)
+        assert phi.terms
+        assert all(type(c) is int for c in phi.terms.values())
+
+
 def test_generating_series_requires_enough_truncation(line):
     spec, _ = line
     base = period_series(spec, 4)
