@@ -7,19 +7,18 @@ The exit status is 1 exactly when a verification verdict is negative and
 
 Bounds enforced here keep every invocation at desk scale:
 d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
-verify-periods cost (operator terms x series terms) of at most 3 400 000,
-checked before the series is built, as is the least verify-periods order
-that certifies anything (the degree bound or less).  The library adds
-k + l <= 4 for spans, filtration p <= 5, membership systems of at most
-8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of at most
-35 280 entries over all their parameters, at most 4764 candidate relation
-pairs (degree bound 2 at d = 3), scalar systems of at most 4125 operators
-(p <= 1 at d = 3) and vector systems of at most 93 895 equations (p = 1
-at d = 3).
+verify-periods order of at most MAX_VERIFY_ORDER for its (d, p, degree
+bound), the measured envelope, checked before anything is built.  The
+least verify-periods order that certifies anything (the degree bound or
+less) is checked before the series is built.  The library adds k + l <= 4
+for spans, filtration p <= 5, membership systems of at most 8820 entries
+(alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of at most 35 280 entries
+over all their parameters, at most 4764 candidate relation pairs (degree
+bound 2 at d = 3), scalar systems of at most 4125 operators (p <= 1 at
+d = 3) and vector systems of at most 93 895 equations (p = 1 at d = 3).
 """
 
 import argparse
-import math
 import os
 import random
 import re
@@ -46,17 +45,20 @@ from .weyl import (WeylOperator, commutator, compose, coord_a, d_a, fourier,
 MAX_ORDER = 30
 MAX_P = 3
 DEGREE_BOUNDS = (2, 4)
-#: operator terms x period series terms that verify-periods admits; the
-#: slowest admitted run, d=2 p=1 order 13 at degree bound 3 (cost 3 145 501),
-#: takes 3.3 to 4.8 s on a 2-core VM (Python 3.11), and the cheapest run
-#: over 5 s costs 3 440 338 (d=2 p=1 order 15 at degree bound 2, 6.4 s)
-MAX_VERIFY_COST = 3_400_000
-#: terms of the period series at d = 2 and 3 by order 0, 1, ..; one order
-#: more exceeds MAX_VERIFY_COST even with the smallest system (at d = 1 the
-#: series has one term per even order)
-PERIOD_TERMS = {2: (1, 1, 4, 10, 25, 49, 103, 184, 331, 554, 911, 1424, 2204,
-                    3278, 4817, 6896, 9746, 13487, 18480),
-                3: (1, 1, 10, 70, 465)}
+#: largest verify-periods order per (d, p, degree bound), for every d >= 2
+#: row that the relation-pair and operator caps let through; d = 1 admits
+#: MAX_ORDER.  Each row was run through `main` in both orderings, order by
+#: order until a run passed about 9 s, and holds the largest order whose
+#: slower ordering took at most 5 s in the median of 3 runs (2-core VM,
+#: Python 3.11), but never less than the operator-terms x series-terms
+#: cost bound it replaces admitted (so d=2 p=1 keeps orders 14 and 13 at
+#: degree bounds 2 and 3, 5 to 6 s) and never more than MAX_ORDER.
+MAX_VERIFY_ORDER = {
+    (2, 0, 2): 21, (2, 1, 2): 14, (2, 2, 2): 10, (2, 3, 2): 7,
+    (2, 0, 3): 19, (2, 1, 3): 13, (2, 2, 3): 9, (2, 3, 3): 7,
+    (2, 0, 4): 16, (2, 1, 4): 11, (2, 2, 4): 8, (2, 3, 4): 6,
+    (3, 0, 2): 6, (3, 1, 2): 4,
+}
 
 
 class UsageError(ValueError):
@@ -86,20 +88,6 @@ def _check_bounds(args):
             f"{DEGREE_BOUNDS[0]}..{DEGREE_BOUNDS[1]}")
 
 
-def _verify_cost(spec: ModelSpec, system, order: int) -> float:
-    """Operator terms x series terms of a verify-periods run, known before
-    its series is built.  The order-p data is derived from the series of
-    order `order + p`."""
-    top = order + system.p
-    if spec.d == 1:
-        terms = top // 2 + 1
-    elif top < len(PERIOD_TERMS[spec.d]):
-        terms = PERIOD_TERMS[spec.d][top]
-    else:
-        terms = math.inf
-    return sum(len(op.terms) for op in system.operators) * terms
-
-
 def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
     """Reject an order too low to certify anything: the residuals are exact
     through `order` plus the system's worst index shift, which must not be
@@ -111,14 +99,14 @@ def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
             f"degree bound {bound}; the minimum order is {least}")
 
 
-def _check_verify_cost(spec: ModelSpec, system, order: int):
-    """Reject a verify-periods run before its series is built when operator
-    terms x series terms exceeds MAX_VERIFY_COST."""
-    if _verify_cost(spec, system, order) > MAX_VERIFY_COST:
+def _check_verify_limit(d: int, p: int, bound: int, order: int):
+    """Reject a verify-periods order beyond the measured envelope before
+    anything is built."""
+    limit = MAX_VERIFY_ORDER.get((d, p, bound), MAX_ORDER)
+    if order > limit:
         raise ResourceBoundError(
-            f"verify-periods at d={spec.d} p={system.p} order {order} exceeds "
-            f"the supported cost {MAX_VERIFY_COST} "
-            "(operator terms x series terms)")
+            f"verify-periods at d={d} p={p} degree bound {bound} admits "
+            f"orders up to {limit}, not {order}")
 
 
 def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
@@ -195,11 +183,11 @@ def cmd_build_system(args):
 
 
 def cmd_verify_periods(args):
+    _check_verify_limit(args.d, args.p, args.degree_bound, args.order)
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
     system = build_scalar_system(spec, relations, args.p)
     _check_verify_order(spec, system, args.order, args.degree_bound)
-    _check_verify_cost(spec, system, args.order)
     series = period_series(spec, args.order + args.p)
     if args.p:
         series = derivative_generating_series(series, args.p, args.order)
@@ -499,13 +487,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_p=False)
     p.add_argument("--point", help="comma separated rationals")
     p.add_argument("--fermat", action="store_true")
-    p.add_argument("--alpha", help="derivative multi-index, e.g. 2e0 or e1+e2")
-    p.add_argument("--monomial", help="x-exponents, comma separated")
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--alpha",
+                       help="derivative multi-index, e.g. 2e0 or e1+e2")
+    query.add_argument("--monomial", help="x-exponents, comma separated")
 
     p = sub.add_parser("scan", help="membership along a pencil of sections")
     common(p, with_p=False)
-    p.add_argument("--alpha")
-    p.add_argument("--monomial")
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--alpha")
+    query.add_argument("--monomial")
     p.add_argument("--line", required=True,
                    help="format base;direction;t1,t2,...")
 

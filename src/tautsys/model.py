@@ -175,11 +175,12 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
     sign by construction, each with a positive first nonzero entry, and
     come sorted by (degree, vector).  The candidate pairs are counted
     before any is formed, and a count above MAX_RELATION_PAIRS raises
-    `ResourceBoundError`.
+    `ResourceBoundError` naming the largest bound whose count fits.
     """
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
     fibers: list[list[tuple[int, ...]]] = []
+    pairs = largest = 0
     for size in range(2, degree_bound + 1):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for combo in combinations_with_replacement(range(spec.n), size):
@@ -191,11 +192,14 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
                     column_sum[row] += e
             groups.setdefault(tuple(column_sum), []).append(tuple(counts))
         fibers.extend(groups.values())
-    pairs = sum(comb(len(members), 2) for members in fibers)
+        pairs += sum(comb(len(members), 2) for members in groups.values())
+        if pairs <= MAX_RELATION_PAIRS:
+            largest = size
     if pairs > MAX_RELATION_PAIRS:
         raise ResourceBoundError(
             f"degree bound {degree_bound} at d={spec.d} gives {pairs} "
-            f"candidate relations, above the supported {MAX_RELATION_PAIRS}")
+            f"candidate relations, above the supported {MAX_RELATION_PAIRS}; "
+            f"the largest supported degree bound at d={spec.d} is {largest}")
     # members come in strictly descending lex order, so with disjoint
     # supports plus - minus has a positive first nonzero entry, and each
     # unordered pair, visited once, fixes the relation up to sign

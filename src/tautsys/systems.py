@@ -40,7 +40,8 @@ from math import comb, factorial, prod
 from .exact import Rat
 from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
 from .series import LaurentSeries
-from .weyl import WeylOperator, _unit, d_a, euler_a, euler_b, fourier
+from .weyl import (DerivativeTable, WeylOperator, _unit, apply_operator, d_a,
+                   euler_a, euler_b, fourier)
 
 #: operators in the largest scalar system built up front: d = 2, degree
 #: bound 4, p = 3; it keeps every d = 2 system and rejects d = 3 at p >= 2
@@ -319,18 +320,34 @@ class VectorSolution:
         return None
 
 
+def _residuals(equations: tuple[VectorEquation, ...],
+               solution: VectorSolution) -> dict[str, LaurentSeries]:
+    """Residual of each equation, by label.  Each component is packed once,
+    into a derivative table sized by the operators that act on it."""
+    operators: dict[ComponentKey, list[WeylOperator]] = {}
+    for equation in equations:
+        for key, op in equation.parts:
+            operators.setdefault(key, []).append(op)
+    tables = {key: DerivativeTable(solution.components[key], ops)
+              for key, ops in operators.items()}
+    out = {}
+    for equation in equations:
+        first, *rest = (
+            apply_operator(op, solution.components[key], tables[key])
+            for key, op in equation.parts)
+        out[equation.label] = first.plus(*rest)
+    return out
+
+
 def vector_residual(equation: VectorEquation,
                     solution: VectorSolution) -> LaurentSeries:
-    first, *rest = (op.apply(solution.components[key])
-                    for key, op in equation.parts)
-    return first.plus(*rest)
+    return _residuals((equation,), solution)[equation.label]
 
 
 def verify_vector_system(system: VectorSystem,
                          solution: VectorSolution) -> dict[str, LaurentSeries]:
     """Residual of every equation; empty residual series means annihilated."""
-    return {eq.label: vector_residual(eq, solution)
-            for eq in system.equations}
+    return _residuals(system.equations, solution)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Command line driver: determinism, verdicts, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
+import pathlib
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +17,10 @@ import tautsys.membership
 from tautsys.cli import main
 from tautsys.exact import Inconsistent
 from tautsys.membership import NonMember
-from tautsys.model import build_projective_model, lattice_relations
-from tautsys.periods import period_series
+from tautsys.model import (ResourceBoundError, build_projective_model,
+                           lattice_relations)
 from tautsys.systems import build_scalar_system
+from tautsys.weyl import index_shift
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +138,8 @@ def test_resource_bounds_rejected(capsys):
     "surjectivity --d 2 --k 3 --l 3",
     "membership --d 1 --fermat --monomial a,b",
     "membership --d 1 --fermat --monomial 1,2",
+    "membership --d 1 --fermat --alpha e0 --monomial 2,0",
+    "scan --d 1 --alpha e0 --monomial 2,0 --line 0,1,1;1,0,0;0,1,2",
     "scan --d 1 --alpha e0 --line 0,1,1;0,0,0;1,2",
     "build-system --d 1 --out /nonexistent/x.json",
     "surjectivity --d 1 --k 1 --l 1 --filtration 0",
@@ -147,8 +154,8 @@ def test_resource_bounds_rejected(capsys):
     "verify-periods --d 2 --order 30",
     "verify-periods --d 2 --p 1 --order 15",
     "verify-periods --d 3 --p 2 --order 2",
-    "verify-periods --d 3 --order 5 --degree-bound 2",
-    "verify-periods --d 3 --p 1 --order 4 --degree-bound 2",
+    "verify-periods --d 3 --order 7 --degree-bound 2",
+    "verify-periods --d 3 --p 1 --order 5 --degree-bound 2",
     "verify-periods --d 3 --order 12 --degree-bound 2",
     "verify-periods --d 3 --p 1 --order 1 --degree-bound 2",
     "verify-periods --d 2 --p 3 --order 1 --degree-bound 4",
@@ -166,27 +173,92 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_verify_cost_table_counts_period_terms(d):
-    """Each entry is the term count of the period series of that order, and
-    one order more exceeds the cost bound even with the smallest system."""
-    spec = build_projective_model(d)
-    table = tautsys.cli.PERIOD_TERMS[d]
-    for order, terms in enumerate(table):
-        assert len(period_series(spec, order).terms) == terms
-    smallest = build_scalar_system(spec, lattice_relations(spec, 2), 0)
-    operator_terms = sum(len(op.terms) for op in smallest.operators)
-    assert operator_terms * table[-1] <= tautsys.cli.MAX_VERIFY_COST
-    assert (operator_terms * len(period_series(spec, len(table)).terms)
-            > tautsys.cli.MAX_VERIFY_COST)
+@functools.cache
+def verify_envelope():
+    """{(d, p, degree bound): least certifying order} for every row the
+    relation-pair and operator caps let through, in the CLI's ordering."""
+    least = {}
+    for d in (1, 2, 3):
+        spec = build_projective_model(d, ordering="interior-first")
+        for bound in range(2, 5):
+            try:
+                relations = lattice_relations(spec, bound)
+            except ResourceBoundError:
+                continue
+            for p in range(4):
+                try:
+                    system = build_scalar_system(spec, relations, p)
+                except ResourceBoundError:
+                    continue
+                least[d, p, bound] = -min(index_shift(op, spec.i0)
+                                          for op in system.operators)
+    return least
+
+
+def test_verify_order_table_covers_the_admitted_rows(capsys):
+    """Every d >= 2 row the caps admit has a largest order, between its
+    least certifying order and MAX_ORDER, and one order more exits 2 at
+    once with one `error:` line naming the row."""
+    least = verify_envelope()
+    rows = tautsys.cli.MAX_VERIFY_ORDER
+    assert set(rows) == {key for key in least if key[0] > 1}
+    for (d, p, bound), top in rows.items():
+        assert least[d, p, bound] <= top <= tautsys.cli.MAX_ORDER
+        if top == tautsys.cli.MAX_ORDER:
+            continue
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify-periods", "--d", str(d),
+                                 "--p", str(p), "--order", str(top + 1),
+                                 "--degree-bound", str(bound))
+        assert time.perf_counter() - started < 0.5
+        assert (code, out) == (2, "")
+        assert err == (f"error: verify-periods at d={d} p={p} degree bound "
+                       f"{bound} admits orders up to {top}, not {top + 1}\n")
+
+
+def test_readme_envelope_matches_the_table():
+    """The README's envelope table lists, per (d, degree bound) and p, the
+    least certifying order and the largest admitted one."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| d, degree bound | p=0 | p=1 | p=2 | p=3 |\n",
+                         1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[1:]:
+        label, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        d, bound = map(int, re.fullmatch(r"d=(\d), bound (\d)",
+                                          label).groups())
+        for p, cell in enumerate(cells):
+            if cell != "—":
+                listed[d, p, bound] = tuple(map(int, cell.split("–")))
+    least = verify_envelope()
+    assert listed == {
+        key: (low, tautsys.cli.MAX_VERIFY_ORDER.get(key,
+                                                    tautsys.cli.MAX_ORDER))
+        for key, low in least.items()}
 
 
 @pytest.mark.parametrize("d,p,order,bound", [
     (1, 3, 30, 4), (2, 0, 8, 2), (2, 0, 4, 3), (2, 1, 4, 2), (3, 0, 2, 2)])
 def test_verify_cost_admits_the_benchmarked_runs(d, p, order, bound):
-    spec = build_projective_model(d, ordering="interior-first")
-    system = build_scalar_system(spec, lattice_relations(spec, bound), p)
-    tautsys.cli._check_verify_cost(spec, system, order)
+    tautsys.cli._check_verify_limit(d, p, bound, order)
+
+
+@pytest.mark.parametrize("argv,bound,pairs", [
+    ("verify-periods --d 3 --order 2", 3, 115676),
+    ("build-system --d 3 --degree-bound 4", 4, 6758740)])
+def test_relation_cap_names_the_largest_bound(capsys, argv, bound, pairs):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == (f"error: degree bound {bound} at d=3 gives {pairs} "
+                   "candidate relations, above the supported 4764; the "
+                   "largest supported degree bound at d=3 is 2\n")
+
+
+def test_d3_order_6_verifies_order_4(capsys):
+    code, out, _ = run_cli(capsys, "verify-periods", "--d", "3", "--order",
+                           "6", "--degree-bound", "2")
+    assert code == 0
+    assert out.endswith("all-zero: yes\nverified-order: 4\nverdict: PASS\n")
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

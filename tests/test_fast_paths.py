@@ -14,7 +14,8 @@ the per-multiset and per-multi-index chains it replaced are the references.
 `TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
 its reference.  `apply_operator` reads packed derivatives from a table
 shared by the operators of a system; the pair-by-pair kernel it replaced is
-the reference on every system operator and a seeded battery.
+the reference on every system operator and a seeded battery, and on every
+vector equation, whose components share one table each.
 """
 
 import random
@@ -37,7 +38,7 @@ from tautsys.series import LaurentSeries, _raw_series
 from tautsys.systems import (VectorSolution, _exponent, _orderings,
                              build_scalar_system, build_tautological_system,
                              build_vector_system, scalarize, symmetry_matrix,
-                             vectorize)
+                             vector_residual, vectorize, verify_vector_system)
 from tautsys.weyl import (DUAL_PAIR, DerivativeTable, WeylOperator, _pack,
                           apply_operator, compose, coord_a, coord_b, d_a, d_b,
                           euler_a, fourier, index_shift)
@@ -809,3 +810,34 @@ def test_packing_refuses_what_does_not_fit():
             apply_operator(op, target, table)
     with pytest.raises(ValueError):
         apply_operator(d_a(3, spec.i0), exact_copy(target), table)
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds,order,ps", [(1, (2, 3, 4), 8, (1, 2)),
+                                               (2, (2,), 4, (1,))])
+def test_vector_residuals_from_shared_tables_match_one_off_residuals(
+        d, bounds, order, ps, ordering):
+    """`verify_vector_system` packs each component once for every equation;
+    `vector_residual` packs per equation, and the pair kernel summed over
+    the parts is the reference.  Components scaled apart from one another
+    leave the coupling rows nonzero."""
+    spec = build_projective_model(d, ordering=ordering)
+    base = period_series(spec, order)
+    for p in ps:
+        exact = derivative_vector_solution(base, p)
+        solution = VectorSolution(spec.n, p, {
+            key: series.scale(Fraction(i + 2, 3))
+            for i, (key, series) in enumerate(exact.components.items())})
+        for bound in bounds:
+            system = build_vector_system(spec, lattice_relations(spec, bound),
+                                         p)
+            shared = verify_vector_system(system, solution)
+            assert list(shared) == [eq.label for eq in system.equations]
+            assert any(not r.is_zero() for r in shared.values())
+            for eq in system.equations:
+                first, *rest = (ref_apply_operator(op,
+                                                   solution.components[key])
+                                for key, op in eq.parts)
+                assert_same_series(shared[eq.label],
+                                   vector_residual(eq, solution))
+                assert_same_series(shared[eq.label], first.plus(*rest))
