@@ -19,6 +19,7 @@ from tautsys.exact import Inconsistent
 from tautsys.membership import NonMember
 from tautsys.model import (ResourceBoundError, build_projective_model,
                            lattice_relations)
+from tautsys.periods import period_series
 from tautsys.systems import build_scalar_system
 from tautsys.weyl import index_shift
 
@@ -171,6 +172,23 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: terms of the period series at d = 2 and 3 by order 0, 1, .. (at d = 1
+#: the series has one term per even order)
+PERIOD_TERMS = {2: (1, 1, 4, 10, 25, 49, 103, 184, 331, 554, 911, 1424, 2204,
+                    3278, 4817, 6896, 9746, 13487, 18480),
+                3: (1, 1, 10, 70, 465)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_cost_table_counts_period_terms(d):
+    """The period series that verify-periods expands has the listed term
+    count at each order."""
+    spec = build_projective_model(d, ordering="interior-first")
+    table = PERIOD_TERMS[d]
+    for order, terms in enumerate(table):
+        assert len(period_series(spec, order).terms) == terms
 
 
 @functools.cache
