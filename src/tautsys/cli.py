@@ -177,7 +177,7 @@ def cmd_build_system(args):
         lines.append(f"wrote: {path}")
     else:
         lines.append("system-json:")
-        lines.extend(text.rstrip("\n").split("\n"))
+        lines.append(text.rstrip("\n"))
     lines.append("verdict: PASS")
     return lines, True
 
@@ -461,12 +461,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact differential systems for hypersurface periods")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_p=True):
+    def common(p, with_p=True, with_bound=True):
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--ordering", choices=("grlex", "interior-first"),
                        default="interior-first")
-        p.add_argument("--degree-bound", dest="degree_bound", type=int,
-                       default=3)
+        if with_bound:
+            p.add_argument("--degree-bound", dest="degree_bound", type=int,
+                           default=3)
         if with_p:
             p.add_argument("--p", type=int, default=0)
 
@@ -484,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_p=False)
 
     p = sub.add_parser("membership", help="decide one divergence identity")
-    common(p, with_p=False)
+    common(p, with_p=False, with_bound=False)
     p.add_argument("--point", help="comma separated rationals")
     p.add_argument("--fermat", action="store_true")
     query = p.add_mutually_exclusive_group()
@@ -493,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--monomial", help="x-exponents, comma separated")
 
     p = sub.add_parser("scan", help="membership along a pencil of sections")
-    common(p, with_p=False)
+    common(p, with_p=False, with_bound=False)
     query = p.add_mutually_exclusive_group()
     query.add_argument("--alpha")
     query.add_argument("--monomial")
@@ -501,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="format base;direction;t1,t2,...")
 
     p = sub.add_parser("surjectivity", help="section multiplication spans")
-    common(p, with_p=False)
+    common(p, with_p=False, with_bound=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--filtration", type=int)

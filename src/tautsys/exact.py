@@ -18,10 +18,11 @@ Variable families
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Container, Hashable, Iterable, Mapping, Sequence
 
 Rat = Fraction
 
@@ -47,6 +48,37 @@ def as_rat(value: int | str | Rat) -> Rat:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def exponents(values: Iterable, length: int,
+              signed: Container[int] = ()) -> tuple[int, ...]:
+    """`values` as a checked exponent tuple of ints, the one check for the
+    polynomial, series and operator keys and derivative multi-indices that
+    callers pass in.
+
+    Each entry goes through `operator.index`, so a float or a Fraction
+    raises TypeError rather than round.  The tuple must have `length`
+    entries (ValueError), and only the positions in `signed` may be
+    negative (FamilyError).
+    """
+    key = tuple(map(operator.index, values))
+    if len(key) != length:
+        raise ValueError(f"exponent {key} has length {len(key)}, not {length}")
+    if min(key, default=0) < 0 and any(
+            e < 0 and i not in signed for i, e in enumerate(key)):
+        raise FamilyError(f"negative exponent in {key}")
+    return key
+
+
+def multiset(n: int, indices: Iterable[int]) -> tuple[int, ...]:
+    """Exponent vector of the multiset of variable indices, each in 0..n-1:
+    the number of times each index occurs."""
+    out = [0] * n
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"index {i} out of range for n={n}")
+        out[i] += 1
+    return tuple(out)
 
 
 def grlex_key(exponents: Sequence[int]):
@@ -178,16 +210,10 @@ class SparsePoly(TermMap):
             raise FamilyError(f"unknown variable family {family!r}")
         if arity < 1:
             raise ValueError("arity must be positive")
-        allow_negative = family in LAURENT_FAMILIES
+        signed = range(arity) if family in LAURENT_FAMILIES else ()
         canonical: dict[tuple[int, ...], Rat] = {}
         for exp, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exp)
-            if len(key) != arity:
-                raise ValueError(f"exponent {key} has wrong length for arity {arity}")
-            if not allow_negative and any(e < 0 for e in key):
-                raise FamilyError(
-                    f"negative exponent {key} not allowed in family {family!r}")
-            add_term(canonical, key, as_rat(coeff))
+            add_term(canonical, exponents(exp, arity, signed), as_rat(coeff))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", canonical)
@@ -391,9 +417,6 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
     """
     nrows = len(system.rows)
     ncols = len(system.labels)
-    if nrows == 0:
-        return Solution(values=(_ZERO,) * ncols,
-                        nullspace=tuple(_unit_vector(ncols, j) for j in range(ncols)))
 
     # Integerize each row; the multiplier matrix T keeps track of how the
     # working rows combine the *original* (unscaled) rows.
@@ -472,7 +495,3 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
             vec[col] = -acc / mat[row_idx][col]
         nullspace.append(tuple(vec))
     return Solution(values=tuple(values), nullspace=tuple(nullspace))
-
-
-def _unit_vector(length: int, index: int) -> tuple[Rat, ...]:
-    return tuple(Fraction(1) if j == index else _ZERO for j in range(length))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .exact import (Inconsistent, LinearSystem, Rat, SparsePoly, as_rat,
-                    grlex_key, solve_exact)
+                    exponents, grlex_key, solve_exact)
 from .model import (ModelSpec, ResourceBoundError, SpanReport,
                     monomials_of_degree, multiplication_surjectivity)
 
@@ -119,9 +119,7 @@ def derivative_query(spec: ModelSpec, alpha) -> MembershipQuery:
     iterating gives the product of basis monomials with multiplicities
     alpha.
     """
-    alpha = tuple(int(e) for e in alpha)
-    if len(alpha) != spec.n or any(e < 0 for e in alpha):
-        raise ValueError(f"bad derivative multi-index {alpha}")
+    alpha = exponents(alpha, spec.n)
     if sum(alpha) < 1:
         raise ValueError("derivative multi-index must be nonempty")
     exponent = [0] * (spec.d + 1)

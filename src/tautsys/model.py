@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
-from .exact import Rat
+from .exact import Rat, exponents, multiset
 
 MAX_DIMENSION = 3
 #: candidate pairs sum C(k, 2) over the fibers of k equal column sums; the
@@ -41,13 +41,9 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, descending lex order."""
     if degree < 0:
         return []
-    out = []
-    for bars in combinations_with_replacement(range(nvars), degree):
-        exp = [0] * nvars
-        for i in bars:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return sorted(out, reverse=True)
+    return sorted((multiset(nvars, bars) for bars in
+                   combinations_with_replacement(range(nvars), degree)),
+                  reverse=True)
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,8 @@ class LatticeRelation:
     vector: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vector", exponents(
+            self.vector, len(self.vector), range(len(self.vector))))
         if not any(self.vector):
             raise ValueError("relation must be nonzero")
         if sum(e for e in self.vector if e > 0) != -sum(
@@ -184,13 +182,9 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
     for size in range(2, degree_bound + 1):
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for combo in combinations_with_replacement(range(spec.n), size):
-            column_sum = [0] * (spec.d + 1)
-            counts = [0] * spec.n
-            for j in combo:
-                counts[j] += 1
-                for row, e in enumerate(spec.basis[j]):
-                    column_sum[row] += e
-            groups.setdefault(tuple(column_sum), []).append(tuple(counts))
+            column_sum = tuple(map(sum, zip(*(spec.basis[j] for j in combo))))
+            groups.setdefault(column_sum, []).append(
+                multiset(spec.n, combo))
         fibers.extend(groups.values())
         pairs += sum(comb(len(members), 2) for members in groups.values())
         if pairs <= MAX_RELATION_PAIRS:

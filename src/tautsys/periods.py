@@ -18,11 +18,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
 
-from .exact import Rat, SparsePoly
+from .exact import Rat, SparsePoly, exponents, multiset
 from .model import ModelSpec
 from .series import LaurentSeries, _raw_series, min_truncation
-from .systems import (DiffSystem, VectorSolution, _component_key,
-                      _exponent, _orderings)
+from .systems import DiffSystem, VectorSolution, _component_key, _orderings
 from .weyl import DerivativeTable, apply_operator
 
 
@@ -120,7 +119,7 @@ def derivative_generating_series(base: LaurentSeries, p: int,
     table = {(): base}
     pieces = []
     for combo in combinations_with_replacement(range(n), p):
-        b_exp = _exponent(n, combo)
+        b_exp = multiset(n, combo)
         pieces.append(_derivative(table, combo).scale(_orderings(b_exp))
                       .mul_b_monomial(b_exp))
     return pieces[0].plus(*pieces[1:]).pruned_to(order)
@@ -142,9 +141,7 @@ class PeriodFamily:
 
     def derivative(self, alpha) -> LaurentSeries:
         """Iterated derivative of the base series by the multi-index alpha."""
-        alpha = tuple(int(e) for e in alpha)
-        if len(alpha) != self.spec.n or any(e < 0 for e in alpha):
-            raise ValueError(f"bad derivative multi-index {alpha}")
+        alpha = exponents(alpha, self.spec.n)
         combo = tuple(i for i, count in enumerate(alpha) for _ in range(count))
         return _derivative(self._derivatives, combo)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .exact import (FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat,
-                    grlex_key)
+                    exponents, grlex_key)
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -34,15 +34,8 @@ class LaurentSeries(TermMap):
             raise ValueError(f"distinguished index {i0} out of range for n={n}")
         canonical: dict[TermKey, Rat] = {}
         for (a_exp, b_exp), coeff in (terms or {}).items():
-            a_key = tuple(int(e) for e in a_exp)
-            b_key = tuple(int(e) for e in b_exp)
-            if len(a_key) != n or len(b_key) != n:
-                raise ValueError("exponent length does not match n")
-            if any(e < 0 for i, e in enumerate(a_key) if i != i0):
-                raise ValueError(
-                    f"negative exponent outside the distinguished index: {a_key}")
-            if any(e < 0 for e in b_key):
-                raise ValueError(f"negative b-exponent: {b_key}")
+            a_key = exponents(a_exp, n, (i0,))
+            b_key = exponents(b_exp, n)
             if truncation is not None and _index(a_key, i0) > truncation:
                 continue
             add_term(canonical, (a_key, b_key), as_rat(coeff))
@@ -131,9 +124,7 @@ class LaurentSeries(TermMap):
         return _raw_series(self.n, self.i0, out, trunc)
 
     def mul_b_monomial(self, b_exp: Sequence[int]) -> "LaurentSeries":
-        shift = tuple(int(e) for e in b_exp)
-        if len(shift) != self.n or any(e < 0 for e in shift):
-            raise ValueError(f"bad b-monomial exponent {shift}")
+        shift = exponents(b_exp, self.n)
         out = {
             (a, tuple(u + v for u, v in zip(b, shift))): c
             for (a, b), c in self.terms.items()}
@@ -141,7 +132,7 @@ class LaurentSeries(TermMap):
 
     def b_coefficient(self, b_exp: Sequence[int]) -> "LaurentSeries":
         """Series multiplying the given b-monomial (b-part of the keys zeroed)."""
-        target = tuple(int(e) for e in b_exp)
+        target = exponents(b_exp, self.n)
         zero_exp = (0,) * self.n
         out = {
             (a, zero_exp): c

@@ -37,10 +37,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 
-from .exact import Rat
+from .exact import Rat, multiset
 from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
 from .series import LaurentSeries
-from .weyl import (DerivativeTable, WeylOperator, _unit, apply_operator, d_a,
+from .weyl import (DerivativeTable, WeylOperator, apply_operator, d_a,
                    euler_a, euler_b, fourier)
 
 #: operators in the largest scalar system built up front: d = 2, degree
@@ -89,22 +89,15 @@ def symmetry_operator(spec: ModelSpec, k: int, l: int,
     """First-order symmetry operator for E_kl, optionally mirrored on b."""
     n = spec.n
     zero = (0,) * n
+    units = [multiset(n, (i,)) for i in range(n)]
     terms = {}
     for i, row in enumerate(symmetry_matrix(spec, k, l)):
         for j, value in enumerate(row):
             if value:
-                terms[(_unit(n, i), zero, _unit(n, j), zero)] = value
+                terms[(units[i], zero, units[j], zero)] = value
                 if couple_b:
-                    terms[(zero, _unit(n, i), zero, _unit(n, j))] = value
+                    terms[(zero, units[i], zero, units[j])] = value
     return WeylOperator(n, terms)
-
-
-def _exponent(n: int, indices) -> tuple[int, ...]:
-    """Exponent vector of the multiset of variable indices."""
-    out = [0] * n
-    for i in indices:
-        out[i] += 1
-    return tuple(out)
 
 
 def _orderings(exponent: tuple[int, ...]) -> int:
@@ -187,16 +180,17 @@ def build_scalar_system(spec: ModelSpec, relations: list[LatticeRelation],
                       symmetry_operator(spec, k, l, couple_b=p > 0)))
     pairs.append((f"euler_a+{1 + p}", euler_a(n) + (1 + p)))
     if p:
+        units = [multiset(n, (i,)) for i in range(n)]
         pairs.append((f"euler_b-{p}", euler_b(n) - p))
         for combo in combinations_with_replacement(range(n), p + 1):
-            op = WeylOperator(n, {(zero, zero, zero, _exponent(n, combo)): 1})
+            op = WeylOperator(n, {(zero, zero, zero, multiset(n, combo)): 1})
             pairs.append((f"bder{list(combo)}", op))
         for u in range(n):
             for v in range(u + 1, n):
                 for rest in combinations_with_replacement(range(n), p - 1):
                     op = WeylOperator(n, {
-                        (zero, zero, _unit(n, u), _exponent(n, (v, *rest))): 1,
-                        (zero, zero, _unit(n, v), _exponent(n, (u, *rest))): -1})
+                        (zero, zero, units[u], multiset(n, (v, *rest))): 1,
+                        (zero, zero, units[v], multiset(n, (u, *rest))): -1})
                     pairs.append((f"mixed[{u},{v}]{list(rest)}", op))
     labels, operators = zip(*pairs)
     return DiffSystem(kind="scalar" if p else "base", n=n, p=p,
@@ -362,7 +356,7 @@ def scalarize(solution: VectorSolution) -> LaurentSeries:
     sum b_l b_k phi_lk.
     """
     pieces = [series.mul_b_monomial(
-                  _exponent(solution.n, key if solution.p > 1 else (key,)))
+                  multiset(solution.n, key if solution.p > 1 else (key,)))
               for key, series in solution.components.items()]
     if not pieces:
         raise ValueError("empty vector solution")
@@ -389,7 +383,7 @@ def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
     n = series.n
     components: dict[ComponentKey, LaurentSeries] = {}
     for slot in product(range(n), repeat=p):
-        exponent = _exponent(n, slot)
+        exponent = multiset(n, slot)
         coefficient = series.b_coefficient(exponent)
         # distinct orderings of the slot, all contributing this monomial
         orderings = _orderings(exponent)
@@ -415,7 +409,7 @@ def dual_generator_families(spec: ModelSpec,
     n = spec.n
     dual = ("zeta", "xi")
     zero = (0,) * n
-    units = [_unit(n, i) for i in range(n)]
+    units = [multiset(n, (i,)) for i in range(n)]
     out: list[tuple[str, WeylOperator, bool]] = []
     for rel in relations:
         op = WeylOperator(n, {(rel.positive, zero, zero, zero): 1,
@@ -440,7 +434,7 @@ def dual_generator_families(spec: ModelSpec,
                                   (units[j], units[i], zero, zero): -1}, dual)
             out.append((f"mixed[{i},{j}][]", op, True))
     for combo in combinations_with_replacement(range(n), 2):
-        op = WeylOperator(n, {(zero, _exponent(n, combo), zero, zero): 1},
+        op = WeylOperator(n, {(zero, multiset(n, combo), zero, zero): 1},
                           dual)
         out.append((f"bder{list(combo)}", op, True))
     return out

@@ -22,11 +22,12 @@ with multi-index k running below both g and c.
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, perm
 from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
-from .exact import FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat
+from .exact import (FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat,
+                    exponents, multiset)
 from .series import LaurentSeries, _index, _raw_series
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -48,12 +49,10 @@ class WeylOperator(TermMap):
             raise FamilyError(f"unknown family pair {families!r}")
         canonical: dict[TermKey, Rat] = {}
         for key, coeff in (terms or {}).items():
-            key = tuple(tuple(map(int, part)) for part in key)
-            if len(key) != 4 or any(len(part) != n for part in key):
+            if len(key) != 4:
                 raise ValueError("term key must hold four length-n tuples")
-            if min(map(min, key)) < 0:
-                raise ValueError("operator exponents must be non-negative")
-            add_term(canonical, key, as_rat(coeff))
+            add_term(canonical, tuple(exponents(part, n) for part in key),
+                     as_rat(coeff))
         self.n = n
         self.families = tuple(families)
         self.terms = canonical
@@ -117,12 +116,6 @@ class WeylOperator(TermMap):
         return out
 
 
-def _unit(n: int, index: int) -> tuple[int, ...]:
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} out of range for n={n}")
-    return tuple(1 if i == index else 0 for i in range(n))
-
-
 def _term_order(key: TermKey):
     c1, c2, d1, d2 = key
     return (sum(d1) + sum(d2), d1, d2, sum(c1) + sum(c2), c1, c2)
@@ -138,18 +131,12 @@ def _format_vars(name: str, exponents: tuple[int, ...]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _falling(value: int, count: int) -> int:
-    out = 1
-    for t in range(count):
-        out *= value - t
-    return out
-
-
 def _commutations(deriv: tuple[int, ...], coord: tuple[int, ...]):
     """Yield (k, scalar) over the expansion of D^deriv u^coord.
 
     Only positions where both exponents are positive contribute; the scalar
-    is the product of binom(deriv_i, k_i) * falling(coord_i, k_i).
+    is the product of binom(deriv_i, k_i) * falling(coord_i, k_i), the
+    falling factorial being `math.perm`.
     """
     active = [i for i in range(len(deriv)) if deriv[i] and coord[i]]
     if not active:
@@ -161,30 +148,33 @@ def _commutations(deriv: tuple[int, ...], coord: tuple[int, ...]):
         scalar = 1
         for i, ki in zip(active, choice):
             k[i] = ki
-            scalar *= comb(deriv[i], ki) * _falling(coord[i], ki)
+            scalar *= comb(deriv[i], ki) * perm(coord[i], ki)
         yield tuple(k), scalar
+
+
+def _normal_order(out: dict[TermKey, Rat], coeff: Rat, left: TermKey,
+                  right: TermKey) -> None:
+    """Accumulate coeff times the product of the terms `left` and `right`
+    into `out`, normal ordered: the derivatives of `left` pass the
+    coordinates of `right` by the commutation rule."""
+    c1, c2, d1, d2 = left
+    e1, e2, f1, f2 = right
+    for k1, s1 in _commutations(d1, e1):
+        for k2, s2 in _commutations(d2, e2):
+            key = (tuple(a + b - k for a, b, k in zip(c1, e1, k1)),
+                   tuple(a + b - k for a, b, k in zip(c2, e2, k2)),
+                   tuple(a - k + b for a, b, k in zip(d1, f1, k1)),
+                   tuple(a - k + b for a, b, k in zip(d2, f2, k2)))
+            add_term(out, key, coeff * s1 * s2)
 
 
 def compose(left: WeylOperator, right: WeylOperator) -> WeylOperator:
     """Operator product, re-normal-ordered exactly."""
     left._check_compatible(right)
-    n = left.n
     out: dict[TermKey, Rat] = {}
-    for (c1, c2, d1, d2), lc in left.terms.items():
-        for (e1, e2, f1, f2), rc in right.terms.items():
-            base = lc * rc
-            for k1, s1 in _commutations(d1, e1):
-                for k2, s2 in _commutations(d2, e2):
-                    coeff = base * s1 * s2
-                    if not coeff:
-                        continue
-                    key = (
-                        tuple(a + b - k for a, b, k in zip(c1, e1, k1)),
-                        tuple(a + b - k for a, b, k in zip(c2, e2, k2)),
-                        tuple(a - k + b for a, b, k in zip(d1, f1, k1)),
-                        tuple(a - k + b for a, b, k in zip(d2, f2, k2)),
-                    )
-                    add_term(out, key, coeff)
+    for lkey, lc in left.terms.items():
+        for rkey, rc in right.terms.items():
+            _normal_order(out, lc * rc, lkey, rkey)
     return left._like(out)
 
 
@@ -386,23 +376,15 @@ def fourier(op: WeylOperator) -> WeylOperator:
     and derivative negated.
 
     The term u^c1 v^c2 D_u^d1 D_v^d2 goes to (-1)^(|d1|+|d2|) times
-    D^c1 D^c2 u^d1 v^d2 in the dual pair, whose normal order is one pass
-    over `_commutations` of each slot.
+    D^c1 D^c2 u^d1 v^d2 in the dual pair, normal ordered as in `compose`.
     """
+    zero = (0,) * op.n
     out: dict[TermKey, Rat] = {}
     for (c1, c2, d1, d2), coeff in op.terms.items():
         if (sum(d1) + sum(d2)) % 2:
             coeff = -coeff
-        for k1, s1 in _commutations(c1, d1):
-            for k2, s2 in _commutations(c2, d2):
-                key = (_minus(d1, k1), _minus(d2, k2),
-                       _minus(c1, k1), _minus(c2, k2))
-                add_term(out, key, coeff * s1 * s2)
+        _normal_order(out, coeff, (zero, zero, c1, c2), (d1, d2, zero, zero))
     return WeylOperator.zero(op.n, DUAL_PAIR[op.families])._like(out)
-
-
-def _minus(exponents: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(e - j for e, j in zip(exponents, k))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +397,7 @@ def _unit_term(n: int, part: int, index: int) -> WeylOperator:
     key part `part`: 0 and 1 the coordinates a and b, 2 and 3 the
     derivatives D_a and D_b."""
     key = [(0,) * n] * 4
-    key[part] = _unit(n, index)
+    key[part] = multiset(n, (index,))
     return WeylOperator(n, {tuple(key): 1})
 
 
@@ -438,11 +420,11 @@ def d_b(n: int, i: int) -> WeylOperator:
 def euler_a(n: int) -> WeylOperator:
     """Sum of a_i D_{a_i}: the degree-reading operator on the first family."""
     zero = (0,) * n
-    return WeylOperator(n, {(_unit(n, i), zero, _unit(n, i), zero): 1
-                            for i in range(n)})
+    units = (multiset(n, (i,)) for i in range(n))
+    return WeylOperator(n, {(u, zero, u, zero): 1 for u in units})
 
 
 def euler_b(n: int) -> WeylOperator:
     zero = (0,) * n
-    return WeylOperator(n, {(zero, _unit(n, i), zero, _unit(n, i)): 1
-                            for i in range(n)})
+    units = (multiset(n, (i,)) for i in range(n))
+    return WeylOperator(n, {(zero, u, zero, u): 1 for u in units})

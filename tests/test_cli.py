@@ -1,5 +1,6 @@
 """Command line driver: determinism, verdicts, exit codes."""
 
+import argparse
 import contextlib
 import functools
 import io
@@ -140,6 +141,9 @@ def test_resource_bounds_rejected(capsys):
     "membership --d 1 --fermat --monomial a,b",
     "membership --d 1 --fermat --monomial 1,2",
     "membership --d 1 --fermat --alpha e0 --monomial 2,0",
+    "membership --d 1 --fermat --alpha e0 --degree-bound 3",
+    "scan --d 1 --alpha e0 --line 0,1,1;1,0,0;0,1,2 --degree-bound 3",
+    "surjectivity --d 1 --k 1 --l 1 --degree-bound 3",
     "scan --d 1 --alpha e0 --monomial 2,0 --line 0,1,1;1,0,0;0,1,2",
     "scan --d 1 --alpha e0 --line 0,1,1;0,0,0;1,2",
     "build-system --d 1 --out /nonexistent/x.json",
@@ -253,6 +257,23 @@ def test_readme_envelope_matches_the_table():
         key: (low, tautsys.cli.MAX_VERIFY_ORDER.get(key,
                                                     tautsys.cli.MAX_ORDER))
         for key, low in least.items()}
+
+
+def test_readme_lists_the_options_of_every_command():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| command | options |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[1:]:
+        command, options = (cell.strip() for cell in line.strip("|").split("|"))
+        listed[command.strip("`")] = set(re.findall(r"--[a-z-]+", options))
+    commands = next(action.choices
+                    for action in tautsys.cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert listed == {
+        name: {option for action in parser._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+        for name, parser in commands.items()}
 
 
 @pytest.mark.parametrize("d,p,order,bound", [

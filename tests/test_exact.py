@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, PoleError,
                            Solution, SparsePoly, add_term, replay_witness,
                            solve_exact)
+from tautsys.membership import derivative_query
+from tautsys.model import LatticeRelation, build_projective_model
+from tautsys.periods import PeriodFamily
+from tautsys.series import LaurentSeries
+from tautsys.weyl import WeylOperator
 
 
 def x_poly(terms):
@@ -61,6 +66,57 @@ def test_negative_exponent_only_in_a_family():
         SparsePoly("x", 2, {(-1, 0): 1})
     with pytest.raises(FamilyError):
         SparsePoly("b", 2, {(-1, 0): 1})
+
+
+LINE = build_projective_model(1)
+ZERO = (0, 0, 0)
+SERIES = LaurentSeries(3, 1, {((0, -1, 0), (1, 0, 0)): 1})
+
+# entry point taking one length-3 exponent tuple, and the positions where
+# it admits a negative entry
+EXPONENT_ENTRY_POINTS = {
+    "x polynomial": (lambda e: SparsePoly("x", 3, {e: 1}), ()),
+    "a polynomial": (lambda e: SparsePoly("a", 3, {e: 1}), (0, 1, 2)),
+    "series a-key": (lambda e: LaurentSeries(3, 1, {(e, ZERO): 1}), (1,)),
+    "series b-key": (lambda e: LaurentSeries(3, 1, {(ZERO, e): 1}), ()),
+    "mul_b_monomial": (SERIES.mul_b_monomial, ()),
+    "b_coefficient": (SERIES.b_coefficient, ()),
+    **{f"operator part {part}": (
+        lambda e, part=part: WeylOperator(
+            3, {tuple(e if i == part else ZERO for i in range(4)): 1}), ())
+       for part in range(4)},
+    "PeriodFamily.derivative": (PeriodFamily(LINE, 4).derivative, ()),
+    "derivative_query": (lambda e: derivative_query(LINE, e), ()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRY_POINTS))
+def test_every_exponent_tuple_is_checked_alike(entry):
+    """An exponent tuple is made of ints: a float or a Fraction is refused,
+    never rounded; it has the length of its variable family; and it is
+    negative only where the family allows it."""
+    make, signed = EXPONENT_ENTRY_POINTS[entry]
+    make((1, 0, 1))
+    for wrong in (1.5, Fraction(3, 2)):
+        with pytest.raises(TypeError):
+            make((wrong, 0, 1))
+    for length in (2, 4):
+        with pytest.raises(ValueError):
+            make((1, 0, 1, 0)[:length])
+    for position in range(3):
+        exponent = tuple(-1 if i == position else 1 for i in range(3))
+        if position in signed:
+            make(exponent)
+        else:
+            with pytest.raises(FamilyError):
+                make(exponent)
+
+
+def test_lattice_relation_vector_is_made_of_ints():
+    assert LatticeRelation((1, -1, 0)).vector == (1, -1, 0)
+    for wrong in (1.5, Fraction(3, 2)):
+        with pytest.raises(TypeError):
+            LatticeRelation((wrong, -wrong, 0))
 
 
 def test_partial_derivative_basics():
@@ -142,6 +198,17 @@ def test_solve_empty_system():
     outcome = solve_exact(LinearSystem.build([], []))
     assert isinstance(outcome, Solution)
     assert outcome.values == ()
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3])
+def test_solve_system_without_rows(ncols):
+    """No rows: every value zero and the unit vectors span the nullspace."""
+    outcome = solve_exact(LinearSystem.build(
+        [f"c{j}" for j in range(ncols)], []))
+    assert outcome == Solution(
+        values=(Fraction(0),) * ncols,
+        nullspace=tuple(tuple(Fraction(int(i == j)) for i in range(ncols))
+                        for j in range(ncols)))
 
 
 def test_solve_inconsistent_quadric_direction_system():

@@ -6,9 +6,10 @@ Internal series results skip the validating constructor; the seeded
 battery checks that every such result is still canonical.  The system
 builders write each operator's terms directly and treat every p in one
 loop; the operator-arithmetic builders below, with one branch per p, are
-the references they must reproduce label for label.  `fourier` normal
-orders each term's image in one pass; the per-term composition it replaced
-is the reference on every system operator and a seeded battery.  Period
+the references they must reproduce label for label.  `compose` and
+`fourier` share one normal-ordering loop; a loop of each one's own, and for
+`fourier` also the per-term composition, are the references on every system
+operator (seeded pairs of them for `compose`) and a seeded battery.  Period
 derivatives come from one memo table, so permuted slots share one series;
 the per-multiset and per-multi-index chains it replaced are the references.
 `TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
@@ -21,21 +22,22 @@ vector equation, whose components share one table each.
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import comb
 from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tautsys.exact import FamilyError, SparsePoly, add_term
+from tautsys.exact import FamilyError, SparsePoly, add_term, multiset
 from tautsys.model import build_projective_model, lattice_relations
 from tautsys.periods import (PeriodFamily, derivative_generating_series,
                              derivative_vector_solution, period_series,
                              verify_annihilation)
 from tautsys.serialize import series_to_obj
 from tautsys.series import LaurentSeries, _raw_series
-from tautsys.systems import (VectorSolution, _exponent, _orderings,
+from tautsys.systems import (VectorSolution, _orderings,
                              build_scalar_system, build_tautological_system,
                              build_vector_system, scalarize, symmetry_matrix,
                              vector_residual, vectorize, verify_vector_system)
@@ -437,11 +439,74 @@ def test_component_maps_match_per_p_references(d, order):
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform against per-term composition
+# Composition and Fourier transform against their own loops
 # ---------------------------------------------------------------------------
 
 
+def ref_falling(value, count):
+    out = 1
+    for t in range(count):
+        out *= value - t
+    return out
+
+
+def ref_commutations(deriv, coord):
+    """Yield (k, scalar) over the expansion of D^deriv u^coord."""
+    active = [i for i in range(len(deriv)) if deriv[i] and coord[i]]
+    if not active:
+        yield (0,) * len(deriv), 1
+        return
+    ranges = [range(min(deriv[i], coord[i]) + 1) for i in active]
+    for choice in product(*ranges):
+        k = [0] * len(deriv)
+        scalar = 1
+        for i, ki in zip(active, choice):
+            k[i] = ki
+            scalar *= comb(deriv[i], ki) * ref_falling(coord[i], ki)
+        yield tuple(k), scalar
+
+
+def ref_compose(left, right):
+    """Normal order each pair of terms in a loop of its own."""
+    assert left.n == right.n and left.families == right.families
+    out = {}
+    for (c1, c2, d1, d2), lc in left.terms.items():
+        for (e1, e2, f1, f2), rc in right.terms.items():
+            base = lc * rc
+            for k1, s1 in ref_commutations(d1, e1):
+                for k2, s2 in ref_commutations(d2, e2):
+                    coeff = base * s1 * s2
+                    if not coeff:
+                        continue
+                    key = (
+                        tuple(a + b - k for a, b, k in zip(c1, e1, k1)),
+                        tuple(a + b - k for a, b, k in zip(c2, e2, k2)),
+                        tuple(a - k + b for a, b, k in zip(d1, f1, k1)),
+                        tuple(a - k + b for a, b, k in zip(d2, f2, k2)),
+                    )
+                    add_term(out, key, coeff)
+    return WeylOperator(left.n, out, left.families)
+
+
+def ref_minus(exponents, k):
+    return tuple(e - j for e, j in zip(exponents, k))
+
+
 def ref_fourier(op):
+    """Normal order each term's image in a loop of its own."""
+    out = {}
+    for (c1, c2, d1, d2), coeff in op.terms.items():
+        if (sum(d1) + sum(d2)) % 2:
+            coeff = -coeff
+        for k1, s1 in ref_commutations(c1, d1):
+            for k2, s2 in ref_commutations(c2, d2):
+                key = (ref_minus(d1, k1), ref_minus(d2, k2),
+                       ref_minus(c1, k1), ref_minus(c2, k2))
+                add_term(out, key, coeff * s1 * s2)
+    return WeylOperator(op.n, out, DUAL_PAIR[op.families])
+
+
+def ref_fourier_by_composition(op):
     """Compose each term's dual derivative part with its dual coordinate
     part and add the images one at a time."""
     dual = DUAL_PAIR[op.families]
@@ -453,8 +518,16 @@ def ref_fourier(op):
         deriv_part = WeylOperator(n, {(zero, zero, c1, c2): coeff * sign},
                                   dual)
         coord_part = WeylOperator(n, {(d1, d2, zero, zero): 1}, dual)
-        out = out + compose(deriv_part, coord_part)
+        out = out + ref_compose(deriv_part, coord_part)
     return out
+
+
+def assert_fourier_matches_references(op):
+    image = fourier(op)
+    assert image == ref_fourier(op)
+    assert image == ref_fourier_by_composition(op)
+    assert image.families == DUAL_PAIR[op.families]
+    return image
 
 
 @cache
@@ -473,15 +546,34 @@ FOURIER_CASES = [(1, (2, 3), range(4)), (2, (2, 3), range(4)),
 @pytest.mark.parametrize("d,bounds,ps", FOURIER_CASES)
 def test_fourier_matches_per_term_composition_on_systems(d, bounds, ps,
                                                          ordering):
-    seen = set()
+    for op in system_operators(d, ordering, bounds, ps):
+        image = assert_fourier_matches_references(op)
+        assert image.families == ("zeta", "xi")
+        assert_fourier_matches_references(image)
+
+
+def system_operators(d, ordering, bounds, ps):
+    """The distinct operators of the scalar systems, in a fixed order."""
+    seen = {}
     for bound in bounds:
         for p in ps:
-            seen.update(scalar_system(d, ordering, bound, p).operators)
-    for op in seen:
-        image = fourier(op)
-        assert image == ref_fourier(op)
-        assert image.families == ("zeta", "xi")
-        assert fourier(image) == ref_fourier(image)
+            system = scalar_system(d, ordering, bound, p)
+            for label, op in zip(system.labels, system.operators):
+                seen.setdefault((label, p), op)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds,ps", FOURIER_CASES)
+def test_compose_matches_pair_loop_on_system_operators(d, bounds, ps,
+                                                       ordering):
+    ops = system_operators(d, ordering, bounds, ps)
+    rng = random.Random(f"compose {d} {ordering}")
+    for _ in range(200):
+        left, right = rng.choice(ops), rng.choice(ops)
+        assert compose(left, right) == ref_compose(left, right)
+        left, right = fourier(left), fourier(right)
+        assert compose(left, right) == ref_compose(left, right)
 
 
 @st.composite
@@ -499,10 +591,16 @@ def operators(draw, n=None, families=None):
 @battery
 @given(operators())
 def test_fourier_matches_per_term_composition_on_random_operators(op):
-    image = fourier(op)
-    assert image == ref_fourier(op)
-    assert image.families == DUAL_PAIR[op.families]
-    assert fourier(image) == ref_fourier(ref_fourier(op))
+    image = assert_fourier_matches_references(op)
+    assert fourier(image) == ref_fourier(image)
+
+
+@battery
+@given(st.data())
+def test_compose_matches_pair_loop_on_random_operators(data):
+    left = data.draw(operators())
+    right = data.draw(operators(n=left.n, families=left.families))
+    assert compose(left, right) == ref_compose(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +616,7 @@ def ref_generating_series(base, p, order):
         derived = base
         for i in combo:
             derived = derived.derivative_a(i)
-        b_exp = _exponent(n, combo)
+        b_exp = multiset(n, combo)
         piece = derived.scale(_orderings(b_exp)).mul_b_monomial(b_exp)
         total = piece if total is None else total + piece
     return total.pruned_to(order)
@@ -623,13 +721,6 @@ def test_plus_matches_left_fold_and_checks_every_operand(maps_and_stranger,
 # ---------------------------------------------------------------------------
 # Packed derivative tables against the pair-by-pair kernel
 # ---------------------------------------------------------------------------
-
-
-def ref_falling(value, count):
-    out = 1
-    for t in range(count):
-        out *= value - t
-    return out
 
 
 def ref_apply_operator(op, target):

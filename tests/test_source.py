@@ -88,3 +88,56 @@ def test_period_derivatives_have_one_walk():
                   and node.func.attr == "derivative_a"
                   and id(node) not in home]
     assert found == []
+
+
+def _callers(tree, name):
+    """Names of the functions whose bodies call `name`, once per call."""
+    return [func.name
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_exponent_tuples_are_coerced_in_one_place():
+    """Exponents go through `exact.exponents`, which refuses a float or a
+    Fraction; `int()` would round them silently.  Parsing the tokens of a
+    text with `int` is not coercion and stays allowed."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "map" and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == "int"):
+                found.append(f"{path.name}:{node.lineno} map(int, ...)")
+            if not isinstance(node, (ast.GeneratorExp, ast.ListComp,
+                                     ast.SetComp)):
+                continue
+            element = node.elt
+            for loop in node.generators:
+                split = (isinstance(loop.iter, ast.Call)
+                         and isinstance(loop.iter.func, ast.Attribute)
+                         and loop.iter.func.attr == "split")
+                if (isinstance(element, ast.Call)
+                        and isinstance(element.func, ast.Name)
+                        and element.func.id == "int"
+                        and len(element.args) == 1
+                        and isinstance(element.args[0], ast.Name)
+                        and isinstance(loop.target, ast.Name)
+                        and element.args[0].id == loop.target.id
+                        and not split):
+                    found.append(f"{path.name}:{node.lineno} int(...) for")
+    assert found == []
+
+
+def test_normal_ordering_has_one_loop():
+    """`compose` and `fourier` normal order through one helper, the only
+    caller of the commutation expansion."""
+    weyl = _parse(next(path for path in SOURCES if path.name == "weyl.py"))
+    callers = set()
+    for path in SOURCES:
+        callers.update(f"{path.stem}.{name}"
+                       for name in _callers(_parse(path), "_commutations"))
+    assert callers == {"weyl._normal_order"}
+    assert set(_callers(weyl, "_normal_order")) == {"compose", "fourier"}
