@@ -109,11 +109,19 @@ def _check_verify_limit(d: int, p: int, bound: int, order: int):
             f"orders up to {limit}, not {order}")
 
 
+def integer(text: str) -> int:
+    """Read an ASCII decimal integer, sign allowed: `int` alone also reads
+    digit-group underscores and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
     """Parse a derivative multi-index like "2e0" or "e1+e2"."""
     alpha = [0] * n
     for token in text.split("+"):
-        match = re.fullmatch(r"\s*(\d*)e(\d+)\s*", token)
+        match = re.fullmatch(r"\s*([0-9]*)e([0-9]+)\s*", token)
         if not match:
             raise UsageError(f"cannot parse multi-index term {token!r}")
         count = int(match.group(1) or "1")
@@ -127,6 +135,9 @@ def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
+    if not text.isascii() or "_" in text:
+        raise UsageError(f"cannot parse rational vector {text!r}: "
+                         "only ASCII characters without '_' are read")
     try:
         return tuple(Fraction(tok.strip()) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -238,7 +249,8 @@ def _resolve_query(args, spec) -> MembershipQuery:
     if args.alpha:
         return derivative_query(spec, _parse_alpha(args.alpha, spec.n))
     if args.monomial:
-        exponent = tuple(int(tok) for tok in args.monomial.split(","))
+        exponent = tuple(integer(tok.strip())
+                         for tok in args.monomial.split(","))
         if len(exponent) != spec.d + 1:
             raise UsageError(f"monomial must have {spec.d + 1} exponents")
         poly = SparsePoly.monomial("x", spec.d + 1, exponent)
@@ -462,14 +474,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_p=True, with_bound=True):
-        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--d", type=integer, required=True)
         p.add_argument("--ordering", choices=("grlex", "interior-first"),
                        default="interior-first")
         if with_bound:
-            p.add_argument("--degree-bound", dest="degree_bound", type=int,
-                           default=3)
+            p.add_argument("--degree-bound", dest="degree_bound",
+                           type=integer, default=3)
         if with_p:
-            p.add_argument("--p", type=int, default=0)
+            p.add_argument("--p", type=integer, default=0)
 
     p = sub.add_parser("build-system", help="emit a system as exact JSON")
     common(p)
@@ -478,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-periods",
                        help="residuals of the period data under its system")
     common(p)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=integer, default=10)
 
     p = sub.add_parser("fourier",
                        help="compare the transformed p=1 system with golden forms")
@@ -503,12 +515,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surjectivity", help="section multiplication spans")
     common(p, with_p=False, with_bound=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--filtration", type=int)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--l", type=integer, required=True)
+    p.add_argument("--filtration", type=integer)
 
     p = sub.add_parser("selftest", help="seeded property battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     return parser
 
 

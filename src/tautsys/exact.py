@@ -381,12 +381,12 @@ class Solution:
 class Inconsistent:
     """Certificate of inconsistency.
 
-    `combo` holds one multiplier per input row; that rational combination of
+    `combo` holds one integer multiplier per input row; that combination of
     the input rows has an all-zero coefficient vector and the nonzero right
     hand side `reduced_rhs`.
     """
 
-    combo: tuple[Rat, ...]
+    combo: tuple[int, ...]
     reduced_rhs: Rat
 
 
@@ -408,28 +408,25 @@ def replay_witness(system: LinearSystem,
 def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
     """Fraction-free (Bareiss) Gaussian elimination over the rationals.
 
-    Rows are scaled to integers, the forward sweep uses the two-by-two
-    determinant update with exact division, and the multiplier matrix that
-    expresses eliminated rows through the originals is carried along so an
-    inconsistency can be returned as a replayable certificate.
+    Each row is scaled by its denominator lcm L and augmented to the integer
+    row [L*a | L*b | L*e_r], so one sweep of two-by-two determinant updates
+    with exact division also carries the multipliers that express every
+    working row through the original rows: after k steps each entry is a
+    (k+1)-minor of the augmented matrix (Sylvester's identity).  An
+    inconsistent row's last nrows entries are its replayable witness.
     Underdetermined systems return one solution (free variables set to zero)
     together with a nullspace basis.
     """
     nrows = len(system.rows)
     ncols = len(system.labels)
 
-    # Integerize each row; the multiplier matrix T keeps track of how the
-    # working rows combine the *original* (unscaled) rows.
     mat: list[list[int]] = []
-    trace: list[list[Rat]] = []
     for r, (coeffs, rhs) in enumerate(system.rows):
         denom_lcm = lcm(*(value.denominator for value in (*coeffs, rhs)))
-        mat.append([int(c * denom_lcm) for c in (*coeffs, rhs)])
-        row_t = [_ZERO] * nrows
-        row_t[r] = Fraction(denom_lcm)
-        trace.append(row_t)
+        unit = [0] * nrows
+        unit[r] = denom_lcm
+        mat.append([int(c * denom_lcm) for c in (*coeffs, rhs)] + unit)
 
-    width = ncols + 1
     prev_pivot = 1
     pivot_row = 0
     pivots: list[tuple[int, int]] = []
@@ -443,18 +440,14 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
             continue
         if found != pivot_row:
             mat[pivot_row], mat[found] = mat[found], mat[pivot_row]
-            trace[pivot_row], trace[found] = trace[found], trace[pivot_row]
-        pivot = mat[pivot_row][col]
+        top = mat[pivot_row]
+        pivot = top[col]
         for r in range(pivot_row + 1, nrows):
-            factor = mat[r][col]
             row = mat[r]
-            top = mat[pivot_row]
-            for j in range(width):
-                row[j] = (pivot * row[j] - factor * top[j]) // prev_pivot
+            factor = row[col]
             if factor or pivot != prev_pivot:
-                trace[r] = [
-                    (pivot * t - factor * p) / prev_pivot
-                    for t, p in zip(trace[r], trace[pivot_row])]
+                mat[r] = [(pivot * x - factor * y) // prev_pivot
+                          for x, y in zip(row, top)]
         prev_pivot = pivot
         pivots.append((pivot_row, col))
         pivot_row += 1
@@ -466,32 +459,24 @@ def solve_exact(system: LinearSystem) -> Solution | Inconsistent:
             if any(mat[r][j] for j in range(ncols)):
                 raise AssertionError(
                     f"row {r} below the last pivot has nonzero coefficients")
-            reduced = sum((m * b for m, (_, b) in zip(trace[r], system.rows)),
+            combo = tuple(mat[r][ncols + 1:])
+            reduced = sum((m * b for m, (_, b) in zip(combo, system.rows)),
                           start=_ZERO)
-            return Inconsistent(combo=tuple(trace[r]), reduced_rhs=reduced)
+            return Inconsistent(combo=combo, reduced_rhs=reduced)
 
+    # Back-substitution.  The right hand side is column ncols with its
+    # variable at -1, so the values and each nullspace vector (one free
+    # column at 1, the others at 0) come from the same loop.
     pivot_cols = {col for _, col in pivots}
-    values: list[Rat] = [_ZERO] * ncols
-    for row_idx, col in reversed(pivots):
-        acc = Fraction(mat[row_idx][ncols])
-        for j in range(col + 1, ncols):
-            if mat[row_idx][j]:
-                acc -= mat[row_idx][j] * values[j]
-        values[col] = acc / mat[row_idx][col]
-
-    nullspace: list[tuple[Rat, ...]] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec: list[Rat] = [_ZERO] * ncols
-        vec[free] = Fraction(1)
+    vectors: list[tuple[Rat, ...]] = []
+    for free in (ncols, *(c for c in range(ncols) if c not in pivot_cols)):
+        vec: list[Rat] = [_ZERO] * (ncols + 1)
+        vec[free] = Fraction(-1 if free == ncols else 1)
         for row_idx, col in reversed(pivots):
-            if col >= free:
-                continue
-            acc = _ZERO
-            for j in range(col + 1, ncols):
-                if mat[row_idx][j]:
-                    acc += mat[row_idx][j] * vec[j]
-            vec[col] = -acc / mat[row_idx][col]
-        nullspace.append(tuple(vec))
-    return Solution(values=tuple(values), nullspace=tuple(nullspace))
+            if col < free:
+                row = mat[row_idx]
+                vec[col] = -sum((row[j] * vec[j]
+                                 for j in range(col + 1, free + 1) if row[j]),
+                                start=_ZERO) / row[col]
+        vectors.append(tuple(vec[:ncols]))
+    return Solution(values=vectors[0], nullspace=tuple(vectors[1:]))

@@ -168,6 +168,17 @@ def test_resource_bounds_rejected(capsys):
     "verify-periods --d 2 --bogus 1",
     "scan --d 1 --alpha e0",
     "",
+    "membership --d 1 --fermat --monomial 0_2,2",
+    "membership --d 1 --fermat --monomial \uff12,2",
+    "membership --d 1 --fermat --alpha \uff12e0",
+    "membership --d 1 --fermat --alpha e\u0660",
+    "verify-periods --d \uff12 --order 4",
+    "verify-periods --d 0_1 --order 0_4",
+    "surjectivity --d 1 --k 1 --l 1_0",
+    "membership --d 1 --point 1_0,1,1 --alpha e0",
+    "membership --d 1 --point \uff12,1,1 --alpha e0",
+    "scan --d 1 --alpha e0 --line 0,1,1;1,0,0;0,1_0",
+    "scan --d 1 --alpha e0 --line 0,1,1;\uff11,0,0;0,1",
     pytest.param("scan --d 1 --alpha e0 --line 0,1,1;1,0,0;" + ",".join(
         map(str, range(981))), id="scan --d 1 --alpha e0 over 981 points"),
 ])

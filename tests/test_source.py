@@ -141,3 +141,28 @@ def test_normal_ordering_has_one_loop():
                        for name in _callers(_parse(path), "_commutations"))
     assert callers == {"weyl._normal_order"}
     assert set(_callers(weyl, "_normal_order")) == {"compose", "fourier"}
+
+
+def test_solver_eliminates_on_integers():
+    """`solve_exact` sweeps one integer matrix, witness multipliers
+    included; a true division or a `Fraction` appears only in its
+    back-substitution, the loop over the free column."""
+    exact = _parse(next(path for path in SOURCES if path.name == "exact.py"))
+    solve = next(func for func in ast.walk(exact)
+                 if isinstance(func, ast.FunctionDef)
+                 and func.name == "solve_exact")
+    back = {id(node)
+            for loop in ast.walk(solve)
+            if isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+            and loop.target.id == "free"
+            for node in ast.walk(loop)}
+    found = [f"exact.py:{node.lineno}"
+             for node in ast.walk(solve)
+             if id(node) not in back
+             and (isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)
+                  or isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "Fraction")]
+    assert back
+    assert found == []
