@@ -32,10 +32,10 @@ from math import comb, lcm
 from operator import add
 
 import pytest
-import tautsys.membership
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tautsys.membership
 from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, Solution,
                            SparsePoly, add_term, multiset, solve_exact)
 from tautsys.membership import (SectionPoint, derivative_query,
