@@ -72,6 +72,9 @@ class LaurentSeries(TermMap):
                                     *(s.truncation for s in operands))
         return _raw_series(self.n, self.i0, terms, truncation)
 
+    def _constant_key(self):
+        return ((0,) * self.n,) * 2
+
     # -- structure ----------------------------------------------------------
 
     def index_of(self, a_exp: Sequence[int]) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb, perm
-from operator import lshift
+from operator import add, lshift
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat,
@@ -131,45 +131,37 @@ def _format_vars(name: str, exponents: tuple[int, ...]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _commutations(deriv: tuple[int, ...], coord: tuple[int, ...]):
-    """Yield (k, scalar) over the expansion of D^deriv u^coord.
-
-    Only positions where both exponents are positive contribute; the scalar
-    is the product of binom(deriv_i, k_i) * falling(coord_i, k_i), the
-    falling factorial being `math.perm`.
-    """
-    active = [i for i in range(len(deriv)) if deriv[i] and coord[i]]
-    if not active:
-        yield (0,) * len(deriv), 1
-        return
-    ranges = [range(min(deriv[i], coord[i]) + 1) for i in active]
-    for choice in product(*ranges):
-        k = [0] * len(deriv)
-        scalar = 1
-        for i, ki in zip(active, choice):
-            k[i] = ki
-            scalar *= comb(deriv[i], ki) * perm(coord[i], ki)
-        yield tuple(k), scalar
+def _integral(coeff: Rat) -> int | Rat:
+    """`coeff` as an int when it is integral, so its products stay ints."""
+    return coeff.numerator if coeff.denominator == 1 else coeff
 
 
 def _normal_order(out: dict[TermKey, Rat], coeff: Rat, left: TermKey,
                   right: TermKey) -> None:
     """Accumulate coeff times the product of the terms `left` and `right`
-    into `out`, normal ordered: the derivatives of `left` pass the
-    coordinates of `right` by the commutation rule."""
-    c1, c2, d1, d2 = left
-    e1, e2, f1, f2 = right
-    for k1, s1 in _commutations(d1, e1):
-        for k2, s2 in _commutations(d2, e2):
-            key = (tuple(a + b - k for a, b, k in zip(c1, e1, k1)),
-                   tuple(a + b - k for a, b, k in zip(c2, e2, k2)),
-                   tuple(a - k + b for a, b, k in zip(d1, f1, k1)),
-                   tuple(a - k + b for a, b, k in zip(d2, f2, k2)))
-            add_term(out, key, coeff * s1 * s2)
+    into `out`, normal ordered by the commutation rule in one loop over
+    both families (the falling factorial is `math.perm`).  An integral
+    `coeff` multiplies as an int, so integral operators give ints."""
+    (c1, c2, d1, d2), (e1, e2, f1, f2) = left, right
+    n, deriv, coord = len(c1), d1 + d2, e1 + e2
+    coords = list(map(add, c1 + c2, coord))
+    derivs = list(map(add, deriv, f1 + f2))
+    active = [i for i in range(2 * n) if deriv[i] and coord[i]]
+    coeff = _integral(coeff)
+    for choice in product(*(range(min(deriv[i], coord[i]) + 1)
+                            for i in active)):
+        u, v, scalar = coords[:], derivs[:], coeff
+        for i, k in zip(active, choice):
+            u[i] -= k
+            v[i] -= k
+            scalar *= comb(deriv[i], k) * perm(coord[i], k)
+        add_term(out, (tuple(u[:n]), tuple(u[n:]), tuple(v[:n]),
+                       tuple(v[n:])), scalar)
 
 
 def compose(left: WeylOperator, right: WeylOperator) -> WeylOperator:
-    """Operator product, re-normal-ordered exactly."""
+    """Operator product, re-normal-ordered exactly by `_normal_order`;
+    integral coefficients multiply as ints and stay ints."""
     left._check_compatible(right)
     out: dict[TermKey, Rat] = {}
     for lkey, lc in left.terms.items():
@@ -339,8 +331,7 @@ class DerivativeTable:
         expansion index `truncation` (None: all of them), unpacked."""
         out: dict[int, Rat] = {}
         for (c1, c2, d1, d2), coeff in op.terms.items():
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
+            coeff = _integral(coeff)
             derivative = self.derivative(d1 + d2)
             shift = self._shift(c1 + c2)
             if not out:
@@ -376,7 +367,8 @@ def fourier(op: WeylOperator) -> WeylOperator:
     and derivative negated.
 
     The term u^c1 v^c2 D_u^d1 D_v^d2 goes to (-1)^(|d1|+|d2|) times
-    D^c1 D^c2 u^d1 v^d2 in the dual pair, normal ordered as in `compose`.
+    D^c1 D^c2 u^d1 v^d2 in the dual pair, normal ordered as in `compose`,
+    so integral coefficients stay ints.
     """
     zero = (0,) * op.n
     out: dict[TermKey, Rat] = {}

@@ -9,13 +9,16 @@ loop; the operator-arithmetic builders below, with one branch per p, are
 the references they must reproduce label for label.  `compose` and
 `fourier` share one normal-ordering loop; a loop of each one's own, and for
 `fourier` also the per-term composition, are the references on every system
-operator (seeded pairs of them for `compose`) and a seeded battery.  Period
-derivatives come from one memo table, so permuted slots share one series;
-the per-multiset and per-multi-index chains it replaced are the references.
+operator (seeded pairs of them for `compose`), where every image must hold
+`int` coefficients and serialize as its reference does, and on a seeded
+battery of operators with fractional coefficients.  Period derivatives
+come from one memo table, so permuted slots share one series; the
+per-multiset and per-multi-index chains it replaced are the references.
 `TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
-its reference.  `apply_operator` reads packed derivatives from a table
-shared by the operators of a system; the pair-by-pair kernel it replaced is
-the reference on every system operator and a seeded battery, and on every
+its reference, and a scalar operand is a one-term series at the zero key.
+`apply_operator` reads packed derivatives from a table shared by the
+operators of a system; the pair-by-pair kernel it replaced is the
+reference on every system operator and a seeded battery, and on every
 vector equation, whose components share one table each.  `solve_exact`
 carries the witness multipliers as integer columns of its Bareiss rows and
 back-substitutes values and nullspace in one loop; the elimination with a
@@ -45,7 +48,7 @@ from tautsys.model import (build_projective_model, fermat_point,
 from tautsys.periods import (PeriodFamily, derivative_generating_series,
                              derivative_vector_solution, period_series,
                              verify_annihilation)
-from tautsys.serialize import series_to_obj
+from tautsys.serialize import operator_to_obj, series_to_obj
 from tautsys.series import LaurentSeries, _raw_series
 from tautsys.systems import (VectorSolution, _orderings,
                              build_scalar_system, build_tautological_system,
@@ -151,14 +154,27 @@ battery = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @battery
-@given(series_pairs())
-def test_add_with_unequal_truncations_is_canonical(pair):
+@given(series_pairs(), st.integers(-4, 4), rationals)
+def test_add_with_unequal_truncations_is_canonical(pair, whole, fraction):
     left, right = pair
     total = left + right
     assert_canonical(total)
     assert total.truncation == min(left.truncation, right.truncation)
     assert_canonical(left - left)
     assert (left - left).is_zero()
+    # a scalar adds at the zero key, cut like any index-0 term when the
+    # truncation is negative
+    zero = ((0,) * N,) * 2
+    for s in (left, right.pruned_to(-1)):
+        for c in (whole, fraction):
+            constant = LaurentSeries(N, s.i0, {zero: c}, s.truncation)
+            for result, expected in ((s + c, s.plus(constant)),
+                                     (c + s, s.plus(constant)),
+                                     (s - c, s.plus(-constant)),
+                                     (c - s, (-s).plus(constant))):
+                assert_canonical(result)
+                assert result.truncation == s.truncation
+                assert result == expected
 
 
 @battery
@@ -559,7 +575,17 @@ def test_fourier_matches_per_term_composition_on_systems(d, bounds, ps,
     for op in system_operators(d, ordering, bounds, ps):
         image = assert_fourier_matches_references(op)
         assert image.families == ("zeta", "xi")
-        assert_fourier_matches_references(image)
+        assert_int_image(image, ref_fourier(op))
+        back = assert_fourier_matches_references(image)
+        assert_int_image(back, ref_fourier(image))
+
+
+def assert_int_image(image, reference):
+    """An image of integral operators equals its reference, holds only int
+    coefficients and serializes as the reference does."""
+    assert image == reference
+    assert all(type(c) is int for c in image.terms.values())
+    assert operator_to_obj(image) == operator_to_obj(reference)
 
 
 def system_operators(d, ordering, bounds, ps):
@@ -581,9 +607,9 @@ def test_compose_matches_pair_loop_on_system_operators(d, bounds, ps,
     rng = random.Random(f"compose {d} {ordering}")
     for _ in range(200):
         left, right = rng.choice(ops), rng.choice(ops)
-        assert compose(left, right) == ref_compose(left, right)
+        assert_int_image(compose(left, right), ref_compose(left, right))
         left, right = fourier(left), fourier(right)
-        assert compose(left, right) == ref_compose(left, right)
+        assert_int_image(compose(left, right), ref_compose(left, right))
 
 
 @st.composite

@@ -131,15 +131,37 @@ def test_exponent_tuples_are_coerced_in_one_place():
     assert found == []
 
 
+def _is_expansion(node):
+    """A call of `comb` or `perm`, bare or as an attribute."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("comb", "perm"))
+
+
+def _is_int_recovery(node):
+    """The comparison `<value>.denominator == 1`."""
+    return (isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "denominator"
+            and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 1)
+
+
 def test_normal_ordering_has_one_loop():
     """`compose` and `fourier` normal order through one helper, the only
-    caller of the commutation expansion."""
-    weyl = _parse(next(path for path in SOURCES if path.name == "weyl.py"))
-    callers = set()
-    for path in SOURCES:
-        callers.update(f"{path.stem}.{name}"
-                       for name in _callers(_parse(path), "_commutations"))
-    assert callers == {"weyl._normal_order"}
+    place in `weyl` that expands the commutation rule, and integral
+    coefficients are recovered as ints by one helper."""
+    path = next(path for path in SOURCES if path.name == "weyl.py")
+    assert "_commutations" not in path.read_text()
+    weyl = _parse(path)
+    funcs = {func.name: func for func in ast.walk(weyl)
+             if isinstance(func, ast.FunctionDef)}
+    for test, home in ((_is_expansion, "_normal_order"),
+                       (_is_int_recovery, "_integral")):
+        everywhere = sum(map(test, ast.walk(weyl)))
+        assert everywhere == sum(map(test, ast.walk(funcs[home]))) > 0
+    assert set(_callers(weyl, "_integral")) == {"_normal_order", "apply"}
     assert set(_callers(weyl, "_normal_order")) == {"compose", "fourier"}
 
 
