@@ -19,6 +19,7 @@ d = 3) and vector systems of at most 93 895 equations (p = 1 at d = 3).
 """
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -467,6 +468,7 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tautsys",

@@ -7,8 +7,8 @@ byte-stable across runs.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exact import Rat, SparsePoly, as_rat
 from .membership import MembershipCertificate
@@ -132,5 +132,72 @@ def certificate_from_obj(obj: dict) -> MembershipCertificate:
 
 
 def dumps(obj: dict) -> str:
-    """Canonical JSON text: sorted keys, no trailing whitespace drift."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: on every value it accepts, exactly the text of
+    `json.dumps(obj, sort_keys=True, indent=2) + "\n"`, written in one pass.
+
+    Strings and keys are quoted by the C helper that `json.dumps` uses
+    under `ensure_ascii`; a list of plain ints is written by one `join`,
+    memoized for this call only, since exponent vectors repeat across
+    terms.  A float, a non-`str` key or any other type raises `TypeError`.
+    """
+    chunks: list[str] = []
+    _write(obj, chunks, {}, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+# exact types, not isinstance: `True` equals 1 in a memo key but is written
+# `true`
+_PLAIN_INT = {int}
+
+
+def _write(value, chunks: list[str], ints: dict, newline: str) -> None:
+    """Append `value` to `chunks`; `newline` is the line break and indent
+    of the line that `value` starts on."""
+    if isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            chunks.append(separator + _quote(key) + ": ")
+            _write(value[key], chunks, ints, inner)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == _PLAIN_INT:
+            key = (newline, *value)
+            text = ints.get(key)
+            if text is None:
+                text = ints[key] = ("[" + inner + ("," + inner).join(
+                    map(int.__repr__, value)) + newline + "]")
+            chunks.append(text)
+            return
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            _write(item, chunks, ints, inner)
+            separator = "," + inner
+        chunks.append(newline + "]")
+    elif isinstance(value, str):
+        chunks.append(_quote(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")

@@ -5,8 +5,11 @@ import contextlib
 import functools
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -41,6 +44,36 @@ def test_verify_periods_passes_and_is_deterministic(capsys):
     assert "verdict: PASS" in out1
     assert "all-zero: yes" in out1
     assert "elapsed" in err1 and "elapsed" not in out1
+
+
+# a command line rejected inside a subcommand, then two that leave options
+# at their defaults: the rejected `--p 1` must not reach the last call
+ONE_PROCESS_ARGV = ["verify-periods --d 2 --p 1 --bogus 1",
+                    "build-system --d 1 --p 1 --degree-bound 2",
+                    "verify-periods --d 1"]
+
+
+def _without_elapsed(code, out, err):
+    return code, out, [line for line in err.splitlines()
+                       if not line.startswith("elapsed:")]
+
+
+def test_calls_in_one_process_report_as_each_call_alone(capsys):
+    """The parser is built once per process and serves every call; each
+    call reports exactly what its command line reports in a fresh
+    interpreter."""
+    src = pathlib.Path(tautsys.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in ONE_PROCESS_ARGV:
+        here = run_cli(capsys, *argv.split())
+        alone = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tautsys.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv.split()],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert _without_elapsed(*here) == _without_elapsed(
+            alone.returncode, alone.stdout, alone.stderr), argv
+    assert tautsys.cli._build_parser() is tautsys.cli._build_parser()
 
 
 def test_verify_periods_first_derivative(capsys):

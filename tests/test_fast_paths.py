@@ -24,9 +24,12 @@ carries the witness multipliers as integer columns of its Bareiss rows and
 back-substitutes values and nullspace in one loop; the elimination with a
 `Fraction` multiplier matrix and two back-substitutions is the reference on
 a seeded battery of rational systems and on the certificate systems that
-`membership_test` builds.
+`membership_test` builds.  `serialize.dumps` writes indent-2 JSON in one
+pass; `json.dumps(..., indent=2)`, the call it replaced, is the reference
+on the `build-system` payloads and on a seeded battery of nested values.
 """
 
+import json
 import random
 from fractions import Fraction
 from functools import cache, reduce
@@ -39,6 +42,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tautsys.membership
+from tautsys import serialize
 from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, Solution,
                            SparsePoly, add_term, multiset, solve_exact)
 from tautsys.membership import (SectionPoint, derivative_query,
@@ -1161,3 +1165,78 @@ def test_solve_exact_matches_reference_on_a_plane_order_two_system(
         monkeypatch, spec, point, [multiset(spec.n, (spec.i0, spec.i0))])
     assert (len(system.rows), len(system.labels)) == (84, 105)
     assert_same_outcome(system)
+
+
+def ref_dumps(obj):
+    """The pure-Python indent-2 encoder that `serialize.dumps` replaced."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def build_system_payload(d, ordering, bound, p):
+    """The payload `tautsys build-system` writes for one row."""
+    spec = build_projective_model(d, ordering=ordering)
+    return {
+        "model": serialize.model_to_obj(spec),
+        "relations": [serialize.relation_to_obj(r)
+                      for r in lattice_relations(spec, bound)],
+        "system": serialize.system_to_obj(
+            scalar_system(d, ordering, bound, p)),
+    }
+
+
+# (d, p, degree bound): every d = 1 row and the d = 2 rows the systems
+# benchmark pool draws
+DUMPS_ROWS = ([(1, p, bound) for p in range(4) for bound in (2, 3, 4)]
+              + [(2, 0, 3), (2, 1, 2), (2, 0, 4), (2, 2, 3), (2, 1, 4)])
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+def test_dumps_matches_indent_encoder_on_build_system_payloads(ordering):
+    for d, p, bound in DUMPS_ROWS:
+        payload = build_system_payload(d, ordering, bound, p)
+        assert serialize.dumps(payload) == ref_dumps(payload), (d, p, bound)
+
+
+awkward_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té '
+                                       '\U0001f600ab') | st.characters())
+json_leaves = (st.none() | st.booleans() | awkward_text
+               | st.integers() | st.integers(-2**80, 2**80))
+int_lists = st.lists(st.integers(-3, 3) | st.integers(2**63, 2**70),
+                     max_size=6)
+mixed_int_lists = st.builds(
+    lambda ints, tail: [*ints, *tail], int_lists.filter(bool),
+    st.lists(st.none() | st.booleans() | awkward_text | int_lists,
+             min_size=1, max_size=3))
+json_values = st.recursive(
+    json_leaves | int_lists | mixed_int_lists,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(awkward_text, inner, max_size=4)),
+    max_leaves=30)
+
+
+@battery
+@given(json_values, json_values)
+def test_dumps_matches_indent_encoder_on_nested_values(value, repeat):
+    """The int-list memo is keyed by indent and values, so one list at two
+    depths, and `True` beside an equal `1`, are written apart."""
+    for obj in (value, {"a": value, "b": [value, {"c": repeat}],
+                        "c": repeat, "": {}, "e": [[]], "f": {"g": []}}):
+        assert serialize.dumps(obj) == ref_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}}, [[], {}], [1, 1, [1, 1]], {"a": [1, True]},
+    {"a": [1, 1], "b": [1, True], "c": [True, 1], "d": [1, None]},
+    [2**64, -2**64, 0], {"q\"\\\x01é": " \U0001f600"},
+])
+def test_dumps_matches_indent_encoder_on_edge_cases(obj):
+    assert serialize.dumps(obj) == ref_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"coeff": 0.5}, {"terms": [1, 2.0]}, {1: "one"}, {("a",): 1},
+    {"a": {"b": {None: 1}}}, {"s": {1, 2}}, [frozenset()]])
+def test_dumps_refuses_floats_non_str_keys_and_sets(obj):
+    with pytest.raises(TypeError):
+        serialize.dumps(obj)

@@ -188,3 +188,36 @@ def test_solver_eliminates_on_integers():
                   and node.func.id == "Fraction")]
     assert back
     assert found == []
+
+
+def _is_json_call(node, name):
+    """A call of `json.<name>` or of a bare `<name>`."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(func, ast.Attribute) and func.attr == name
+        and isinstance(func.value, ast.Name) and func.value.id == "json"
+        or isinstance(func, ast.Name) and func.id == name)
+
+
+def test_json_is_written_by_the_one_indent_writer():
+    """`json.dumps` with `indent` never reaches CPython's C encoder, so no
+    module calls it; the CLI writes JSON only through `serialize.dumps`."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(_parse(path))
+             if _is_json_call(node, "dumps")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert found == []
+    cli = _parse(next(path for path in SOURCES if path.name == "cli.py"))
+    imported = {name for node in ast.walk(cli)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in (getattr(node, "module", None),
+                             *(alias.name for alias in node.names))}
+    assert "json" not in imported
+    assert not [node.lineno for node in ast.walk(cli)
+                if any(_is_json_call(node, name)
+                       for name in ("dumps", "dump"))]
+    assert [node.lineno for node in ast.walk(cli)
+            if isinstance(node, ast.Attribute) and node.attr == "dumps"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "serialize"]
