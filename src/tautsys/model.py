@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
 from .exact import Rat, exponents, multiset
 
@@ -145,11 +147,11 @@ class LatticeRelation:
                 e for e in self.vector if e < 0):
             raise ValueError("positive and negative parts differ in size")
 
-    @property
+    @cached_property
     def positive(self) -> tuple[int, ...]:
         return tuple(max(e, 0) for e in self.vector)
 
-    @property
+    @cached_property
     def negative(self) -> tuple[int, ...]:
         return tuple(max(-e, 0) for e in self.vector)
 
@@ -177,14 +179,15 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
     """
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
-    fibers: list[list[tuple[int, ...]]] = []
+    # each member is a multiset with its support as a bit mask
+    fibers: list[list[tuple[tuple[int, ...], int]]] = []
     pairs = largest = 0
     for size in range(2, degree_bound + 1):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        groups: dict[tuple[int, ...], list] = {}
         for combo in combinations_with_replacement(range(spec.n), size):
             column_sum = tuple(map(sum, zip(*(spec.basis[j] for j in combo))))
             groups.setdefault(column_sum, []).append(
-                multiset(spec.n, combo))
+                (multiset(spec.n, combo), sum({1 << j for j in combo})))
         fibers.extend(groups.values())
         pairs += sum(comb(len(members), 2) for members in groups.values())
         if pairs <= MAX_RELATION_PAIRS:
@@ -196,12 +199,20 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
             f"the largest supported degree bound at d={spec.d} is {largest}")
     # members come in strictly descending lex order, so with disjoint
     # supports plus - minus has a positive first nonzero entry, and each
-    # unordered pair, visited once, fixes the relation up to sign
-    out = [LatticeRelation(tuple(p - m for p, m in zip(plus, minus)))
-           for members in fibers
-           for idx, plus in enumerate(members)
-           for minus in members[idx + 1:]
-           if not any(p and m for p, m in zip(plus, minus))]
+    # unordered pair, visited once, fixes the relation up to sign.  The
+    # multisets are valid exponent vectors of one size and disjoint, so each
+    # relation is made without the constructor's checks, with plus and
+    # minus as its positive and negative parts.
+    out = []
+    for members in fibers:
+        for idx, (plus, plus_support) in enumerate(members):
+            for minus, minus_support in members[idx + 1:]:
+                if plus_support & minus_support:
+                    continue
+                rel = object.__new__(LatticeRelation)
+                rel.__dict__.update(vector=tuple(map(sub, plus, minus)),
+                                    positive=plus, negative=minus)
+                out.append(rel)
     out.sort(key=lambda rel: (rel.degree, rel.vector))
     return out
 

@@ -19,6 +19,8 @@ from .weyl import WeylOperator
 
 
 def rat_str(value: Rat) -> str:
+    if type(value) is int:  # not a bool, which `as_rat` writes as 0 or 1
+        return str(value)
     value = as_rat(value)
     if value.denominator == 1:
         return str(value.numerator)

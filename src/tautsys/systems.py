@@ -40,8 +40,8 @@ from math import comb, factorial, prod
 from .exact import Rat, multiset
 from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
 from .series import LaurentSeries
-from .weyl import (DerivativeTable, WeylOperator, apply_operator, d_a,
-                   euler_a, euler_b, fourier)
+from .weyl import (DerivativeTable, WeylOperator, _raw_operator,
+                   apply_operator, d_a, euler_a, euler_b, fourier)
 
 #: operators in the largest scalar system built up front: d = 2, degree
 #: bound 4, p = 3; it keeps every d = 2 system and rejects d = 3 at p >= 2
@@ -66,8 +66,19 @@ def toric_operator(n: int, relation: LatticeRelation) -> WeylOperator:
     if len(relation.vector) != n:
         raise ValueError("relation length does not match n")
     zero = (0,) * n
-    return WeylOperator(n, {(zero, zero, relation.positive, zero): 1,
-                            (zero, zero, relation.negative, zero): -1})
+    return _raw_operator(n, {(zero, zero, relation.positive, zero): 1,
+                             (zero, zero, relation.negative, zero): -1})
+
+
+def _symmetry_entries(spec: ModelSpec, k: int,
+                      l: int) -> dict[tuple[int, int], int]:
+    """The nonzero entries of `symmetry_matrix`, as ints keyed (i, j) in
+    row order, read from the derivation matrix of E_lk."""
+    trace = k == l
+    return {(i, j): value
+            for i, column in enumerate(zip(*lie_action(spec, l, k).matrix))
+            for j, weight in enumerate(column)
+            if (value := weight - (trace and i == j))}
 
 
 def symmetry_matrix(spec: ModelSpec, k: int, l: int) -> tuple[tuple[Rat, ...], ...]:
@@ -77,27 +88,24 @@ def symmetry_matrix(spec: ModelSpec, k: int, l: int) -> tuple[tuple[Rat, ...], .
     module docstring for the convention.  It is the transpose of the
     derivation action of E_lk, minus the identity when k == l.
     """
-    derivation = lie_action(spec, l, k).matrix
-    return tuple(
-        tuple(Fraction(derivation[j][i] - (1 if k == l and i == j else 0))
-              for j in range(spec.n))
-        for i in range(spec.n))
+    entries = _symmetry_entries(spec, k, l)
+    return tuple(tuple(Fraction(entries.get((i, j), 0)) for j in range(spec.n))
+                 for i in range(spec.n))
 
 
 def symmetry_operator(spec: ModelSpec, k: int, l: int,
                       couple_b: bool = False) -> WeylOperator:
-    """First-order symmetry operator for E_kl, optionally mirrored on b."""
+    """First-order symmetry operator for E_kl, optionally mirrored on b,
+    with the integer entries of `symmetry_matrix` as coefficients."""
     n = spec.n
     zero = (0,) * n
     units = [multiset(n, (i,)) for i in range(n)]
     terms = {}
-    for i, row in enumerate(symmetry_matrix(spec, k, l)):
-        for j, value in enumerate(row):
-            if value:
-                terms[(units[i], zero, units[j], zero)] = value
-                if couple_b:
-                    terms[(zero, units[i], zero, units[j])] = value
-    return WeylOperator(n, terms)
+    for (i, j), value in _symmetry_entries(spec, k, l).items():
+        terms[(units[i], zero, units[j], zero)] = value
+        if couple_b:
+            terms[(zero, units[i], zero, units[j])] = value
+    return _raw_operator(n, terms)
 
 
 def _orderings(exponent: tuple[int, ...]) -> int:
@@ -183,12 +191,12 @@ def build_scalar_system(spec: ModelSpec, relations: list[LatticeRelation],
         units = [multiset(n, (i,)) for i in range(n)]
         pairs.append((f"euler_b-{p}", euler_b(n) - p))
         for combo in combinations_with_replacement(range(n), p + 1):
-            op = WeylOperator(n, {(zero, zero, zero, multiset(n, combo)): 1})
+            op = _raw_operator(n, {(zero, zero, zero, multiset(n, combo)): 1})
             pairs.append((f"bder{list(combo)}", op))
         for u in range(n):
             for v in range(u + 1, n):
                 for rest in combinations_with_replacement(range(n), p - 1):
-                    op = WeylOperator(n, {
+                    op = _raw_operator(n, {
                         (zero, zero, units[u], multiset(n, (v, *rest))): 1,
                         (zero, zero, units[v], multiset(n, (u, *rest))): -1})
                     pairs.append((f"mixed[{u},{v}]{list(rest)}", op))
@@ -412,30 +420,31 @@ def dual_generator_families(spec: ModelSpec,
     units = [multiset(n, (i,)) for i in range(n)]
     out: list[tuple[str, WeylOperator, bool]] = []
     for rel in relations:
-        op = WeylOperator(n, {(rel.positive, zero, zero, zero): 1,
-                              (rel.negative, zero, zero, zero): -1}, dual)
+        op = _raw_operator(n, {(rel.positive, zero, zero, zero): 1,
+                               (rel.negative, zero, zero, zero): -1}, dual)
         out.append((f"toric{list(rel.vector)}", op, rel.degree % 2 == 0))
     for k, l in _generator_indices(spec.d):
-        matrix = symmetry_matrix(spec, k, l)
-        terms = {(zero,) * 4: 2 * sum(matrix[i][i] for i in range(n))}
-        for i in range(n):
-            for j in range(n):
-                if matrix[j][i]:
-                    terms[(units[i], zero, units[j], zero)] = matrix[j][i]
-                    terms[(zero, units[i], zero, units[j])] = matrix[j][i]
-        out.append((f"symmetry[{k},{l}]", WeylOperator(n, terms, dual), False))
-    euler_zeta = {(u, zero, u, zero): -1 for u in units}
-    euler_xi = {(zero, u, zero, u): -1 for u in units}
-    out.append(("euler_a+2", WeylOperator(n, euler_zeta, dual) + (2 - n), True))
-    out.append(("euler_b-1", WeylOperator(n, euler_xi, dual) + (-n - 1), True))
+        entries = _symmetry_entries(spec, k, l)
+        trace = 2 * sum(entries.get((i, i), 0) for i in range(n))
+        terms = {(zero,) * 4: trace} if trace else {}
+        for (j, i), value in entries.items():
+            terms[(units[i], zero, units[j], zero)] = value
+            terms[(zero, units[i], zero, units[j])] = value
+        out.append((f"symmetry[{k},{l}]", _raw_operator(n, terms, dual),
+                    False))
+    euler_zeta = _raw_operator(n, {(u, zero, u, zero): -1 for u in units},
+                               dual)
+    euler_xi = _raw_operator(n, {(zero, u, zero, u): -1 for u in units}, dual)
+    out.append(("euler_a+2", euler_zeta + (2 - n), True))
+    out.append(("euler_b-1", euler_xi + (-n - 1), True))
     for i in range(n):
         for j in range(i + 1, n):
-            op = WeylOperator(n, {(units[i], units[j], zero, zero): 1,
-                                  (units[j], units[i], zero, zero): -1}, dual)
+            op = _raw_operator(n, {(units[i], units[j], zero, zero): 1,
+                                   (units[j], units[i], zero, zero): -1}, dual)
             out.append((f"mixed[{i},{j}][]", op, True))
     for combo in combinations_with_replacement(range(n), 2):
-        op = WeylOperator(n, {(zero, multiset(n, combo), zero, zero): 1},
-                          dual)
+        op = _raw_operator(n, {(zero, multiset(n, combo), zero, zero): 1},
+                           dual)
         out.append((f"bder{list(combo)}", op, True))
     return out
 

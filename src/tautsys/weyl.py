@@ -116,6 +116,19 @@ class WeylOperator(TermMap):
         return out
 
 
+def _raw_operator(n: int, terms: dict[TermKey, Rat],
+                  families: tuple[str, str] = ("a", "b")) -> WeylOperator:
+    """Wrap an already canonical term map, as `series._raw_series` does.
+
+    The caller guarantees keys of four length-n tuples of non-negative
+    ints and nonzero coefficients; integer coefficients stay ints.  Outside
+    input goes through the validating constructor instead.
+    """
+    out = WeylOperator.__new__(WeylOperator)
+    out.n, out.families, out.terms = n, families, terms
+    return out
+
+
 def _term_order(key: TermKey):
     c1, c2, d1, d2 = key
     return (sum(d1) + sum(d2), d1, d2, sum(c1) + sum(c2), c1, c2)
@@ -390,7 +403,7 @@ def _unit_term(n: int, part: int, index: int) -> WeylOperator:
     derivatives D_a and D_b."""
     key = [(0,) * n] * 4
     key[part] = multiset(n, (index,))
-    return WeylOperator(n, {tuple(key): 1})
+    return _raw_operator(n, {tuple(key): 1})
 
 
 def coord_a(n: int, i: int) -> WeylOperator:
@@ -413,10 +426,10 @@ def euler_a(n: int) -> WeylOperator:
     """Sum of a_i D_{a_i}: the degree-reading operator on the first family."""
     zero = (0,) * n
     units = (multiset(n, (i,)) for i in range(n))
-    return WeylOperator(n, {(u, zero, u, zero): 1 for u in units})
+    return _raw_operator(n, {(u, zero, u, zero): 1 for u in units})
 
 
 def euler_b(n: int) -> WeylOperator:
     zero = (0,) * n
     units = (multiset(n, (i,)) for i in range(n))
-    return WeylOperator(n, {(zero, u, zero, u): 1 for u in units})
+    return _raw_operator(n, {(zero, u, zero, u): 1 for u in units})

@@ -27,6 +27,10 @@ a seeded battery of rational systems and on the certificate systems that
 `membership_test` builds.  `serialize.dumps` writes indent-2 JSON in one
 pass; `json.dumps(..., indent=2)`, the call it replaced, is the reference
 on the `build-system` payloads and on a seeded battery of nested values.
+`lattice_relations` and the system builders make their relations and
+operators without re-checking parts they built themselves; the validating
+builders they replaced are the references on every system the caps admit,
+relation by relation, operator by operator and byte for byte in JSON.
 """
 
 import json
@@ -47,17 +51,19 @@ from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, Solution,
                            SparsePoly, add_term, multiset, solve_exact)
 from tautsys.membership import (SectionPoint, derivative_query,
                                 membership_test)
-from tautsys.model import (build_projective_model, fermat_point,
+from tautsys.model import (ORDERINGS, LatticeRelation,
+                           build_projective_model, fermat_point, lie_action,
                            lattice_relations)
 from tautsys.periods import (PeriodFamily, derivative_generating_series,
                              derivative_vector_solution, period_series,
                              verify_annihilation)
 from tautsys.serialize import operator_to_obj, series_to_obj
 from tautsys.series import LaurentSeries, _raw_series
-from tautsys.systems import (VectorSolution, _orderings,
+from tautsys.systems import (DiffSystem, VectorSolution, _orderings,
                              build_scalar_system, build_tautological_system,
-                             build_vector_system, scalarize, symmetry_matrix,
-                             vector_residual, vectorize, verify_vector_system)
+                             build_vector_system, dual_generator_families,
+                             scalarize, symmetry_matrix, vector_residual,
+                             vectorize, verify_vector_system)
 from tautsys.weyl import (DUAL_PAIR, DerivativeTable, WeylOperator, _pack,
                           apply_operator, compose, coord_a, coord_b, d_a, d_b,
                           euler_a, fourier, index_shift)
@@ -1240,3 +1246,148 @@ def test_dumps_matches_indent_encoder_on_edge_cases(obj):
 def test_dumps_refuses_floats_non_str_keys_and_sets(obj):
     with pytest.raises(TypeError):
         serialize.dumps(obj)
+
+
+# ---------------------------------------------------------------------------
+
+
+def ref_lattice_relations(spec, degree_bound):
+    """Every relation through the validating constructor, its positive and
+    negative parts read back from the vector."""
+    fibers = []
+    for size in range(2, degree_bound + 1):
+        groups = {}
+        for combo in combinations_with_replacement(range(spec.n), size):
+            column_sum = tuple(map(sum, zip(*(spec.basis[j] for j in combo))))
+            groups.setdefault(column_sum, []).append(multiset(spec.n, combo))
+        fibers.extend(groups.values())
+    out = [LatticeRelation(tuple(p - m for p, m in zip(plus, minus)))
+           for members in fibers
+           for idx, plus in enumerate(members)
+           for minus in members[idx + 1:]
+           if not any(p and m for p, m in zip(plus, minus))]
+    out.sort(key=lambda rel: (rel.degree, rel.vector))
+    return out
+
+
+def ref_symmetry_matrix(spec, k, l):
+    derivation = lie_action(spec, l, k).matrix
+    return tuple(
+        tuple(Fraction(derivation[j][i] - (1 if k == l and i == j else 0))
+              for j in range(spec.n))
+        for i in range(spec.n))
+
+
+def ref_checked_symmetry(spec, k, l, couple_b):
+    n = spec.n
+    zero = (0,) * n
+    units = [multiset(n, (i,)) for i in range(n)]
+    terms = {}
+    for i, row in enumerate(ref_symmetry_matrix(spec, k, l)):
+        for j, value in enumerate(row):
+            if value:
+                terms[(units[i], zero, units[j], zero)] = value
+                if couple_b:
+                    terms[(zero, units[i], zero, units[j])] = value
+    return WeylOperator(n, terms)
+
+
+def ref_checked_scalar_system(spec, relations, p):
+    """`build_scalar_system` with every operator made by the validating
+    constructor, from the dense `Fraction` symmetry matrix."""
+    n = spec.n
+    zero = (0,) * n
+    units = [multiset(n, (i,)) for i in range(n)]
+    pairs = [(f"toric{list(rel.vector)}",
+              WeylOperator(n, {(zero, zero, rel.positive, zero): 1,
+                               (zero, zero, rel.negative, zero): -1}))
+             for rel in relations]
+    for k, l in generators(spec.d):
+        pairs.append((f"symmetry[{k},{l}]",
+                      ref_checked_symmetry(spec, k, l, p > 0)))
+    euler_a = WeylOperator(n, {(u, zero, u, zero): 1 for u in units})
+    pairs.append((f"euler_a+{1 + p}", euler_a + (1 + p)))
+    if p:
+        euler_b = WeylOperator(n, {(zero, u, zero, u): 1 for u in units})
+        pairs.append((f"euler_b-{p}", euler_b - p))
+        for combo in combinations_with_replacement(range(n), p + 1):
+            op = WeylOperator(n, {(zero, zero, zero, multiset(n, combo)): 1})
+            pairs.append((f"bder{list(combo)}", op))
+        for u in range(n):
+            for v in range(u + 1, n):
+                for rest in combinations_with_replacement(range(n), p - 1):
+                    op = WeylOperator(n, {
+                        (zero, zero, units[u], multiset(n, (v, *rest))): 1,
+                        (zero, zero, units[v], multiset(n, (u, *rest))): -1})
+                    pairs.append((f"mixed[{u},{v}]{list(rest)}", op))
+    labels, operators = zip(*pairs)
+    return DiffSystem(kind="scalar" if p else "base", n=n, p=p,
+                      beta_e=Fraction(1 + p), operators=operators,
+                      labels=labels)
+
+
+def ref_checked_dual(spec, relations):
+    n = spec.n
+    dual = ("zeta", "xi")
+    zero = (0,) * n
+    units = [multiset(n, (i,)) for i in range(n)]
+    out = []
+    for rel in relations:
+        op = WeylOperator(n, {(rel.positive, zero, zero, zero): 1,
+                              (rel.negative, zero, zero, zero): -1}, dual)
+        out.append((f"toric{list(rel.vector)}", op, rel.degree % 2 == 0))
+    for k, l in generators(spec.d):
+        matrix = ref_symmetry_matrix(spec, k, l)
+        terms = {(zero,) * 4: 2 * sum(matrix[i][i] for i in range(n))}
+        for i in range(n):
+            for j in range(n):
+                if matrix[j][i]:
+                    terms[(units[i], zero, units[j], zero)] = matrix[j][i]
+                    terms[(zero, units[i], zero, units[j])] = matrix[j][i]
+        out.append((f"symmetry[{k},{l}]", WeylOperator(n, terms, dual),
+                    False))
+    euler_zeta = WeylOperator(n, {(u, zero, u, zero): -1 for u in units}, dual)
+    euler_xi = WeylOperator(n, {(zero, u, zero, u): -1 for u in units}, dual)
+    out.append(("euler_a+2", euler_zeta + (2 - n), True))
+    out.append(("euler_b-1", euler_xi + (-n - 1), True))
+    for i in range(n):
+        for j in range(i + 1, n):
+            op = WeylOperator(n, {(units[i], units[j], zero, zero): 1,
+                                  (units[j], units[i], zero, zero): -1}, dual)
+            out.append((f"mixed[{i},{j}][]", op, True))
+    for combo in combinations_with_replacement(range(n), 2):
+        op = WeylOperator(n, {(zero, multiset(n, combo), zero, zero): 1},
+                          dual)
+        out.append((f"bder{list(combo)}", op, True))
+    return out
+
+
+# d: (degree bounds, orders p), every scalar system the caps admit
+CHECKED_ROWS = {1: ((2, 3, 4), range(4)), 2: ((2, 3, 4), range(4)),
+                3: ((2,), range(2))}
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("d", sorted(CHECKED_ROWS))
+def test_trusted_builders_match_validating_builders(d, ordering):
+    spec = build_projective_model(d, ordering=ordering)
+    bounds, ps = CHECKED_ROWS[d]
+    for bound in bounds:
+        relations = lattice_relations(spec, bound)
+        reference = ref_lattice_relations(spec, bound)
+        assert relations == reference
+        assert ([(r.positive, r.negative, r.degree) for r in relations]
+                == [(r.positive, r.negative, r.degree) for r in reference])
+        for p in ps:
+            system = build_scalar_system(spec, relations, p)
+            checked = ref_checked_scalar_system(spec, reference, p)
+            assert system.labels == checked.labels
+            assert system == checked, (bound, p)
+            # the builders' coefficients stay ints; `+` makes the Euler
+            # constant a Fraction
+            assert all(type(c) is int for op in system.operators
+                       for key, c in op.terms.items() if any(map(any, key)))
+            assert (serialize.dumps(serialize.system_to_obj(system))
+                    == serialize.dumps(serialize.system_to_obj(checked)))
+        assert (dual_generator_families(spec, relations)
+                == ref_checked_dual(spec, reference))

@@ -14,6 +14,9 @@ from tautsys.weyl import coord_a, d_a, d_b, euler_a
 def test_rat_strings_are_exact():
     assert serialize.rat_str(Fraction(1, 2)) == "1/2"
     assert serialize.rat_str(Fraction(-7)) == "-7"
+    for value in (0, 1, -1, 7, -2**70, 2**70):
+        assert serialize.rat_str(value) == serialize.rat_str(Fraction(value))
+    assert (serialize.rat_str(True), serialize.rat_str(False)) == ("1", "0")
     assert serialize.rat_parse("1/2") == Fraction(1, 2)
     assert serialize.rat_parse("-7") == -7
 

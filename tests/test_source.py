@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+from tautsys.model import (LatticeRelation, build_projective_model,
+                           lattice_relations)
+from tautsys.systems import toric_operator
+
 SOURCES = sorted(
     (Path(__file__).resolve().parents[1] / "src" / "tautsys").glob("*.py"))
 
@@ -45,6 +49,14 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _inside(tree, function):
+    """ids of the nodes inside the bodies of functions named `function`."""
+    return {id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == function
+            for node in ast.walk(func)}
+
+
 def test_sums_accumulate_in_one_pass():
     """A sum of many term maps is one `plus` call; a loop that rebuilds a
     running total with `+` copies the total at every step."""
@@ -76,11 +88,7 @@ def test_period_derivatives_have_one_walk():
         if path.name not in ("periods.py", "systems.py"):
             continue
         tree = _parse(path)
-        home = {id(node)
-                for func in ast.walk(tree)
-                if isinstance(func, ast.FunctionDef)
-                and func.name == "_derivative"
-                for node in ast.walk(func)}
+        home = _inside(tree, "_derivative")
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
@@ -221,3 +229,58 @@ def test_json_is_written_by_the_one_indent_writer():
             if isinstance(node, ast.Attribute) and node.attr == "dumps"
             and isinstance(node.value, ast.Name)
             and node.value.id == "serialize"]
+
+
+#: the builders that make operators from parts they made and checked
+#: themselves; every other operator goes through `WeylOperator(...)`
+TRUSTED_OPERATOR_CALLERS = {
+    "weyl": {"_unit_term", "euler_a", "euler_b"},
+    "systems": {"toric_operator", "symmetry_operator", "build_scalar_system",
+                "dual_generator_families"},
+}
+
+
+def _new_calls(tree, name):
+    """The `<x>.__new__(...)` calls that name the class `name`, as the
+    receiver or as an argument."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and any(isinstance(part, ast.Name) and part.id == name
+                    for part in (node.func.value, *node.args))]
+
+
+def test_unchecked_parts_have_named_builders():
+    """Only the named builders skip the operator checks, through
+    `weyl._raw_operator`; only `model.lattice_relations` makes a
+    `LatticeRelation` without its checks.  The public constructors keep
+    validating."""
+    callers, found = {}, []
+    for path in SOURCES:
+        tree = _parse(path)
+        names = set(_callers(tree, "_raw_operator"))
+        if names:
+            callers[path.stem] = names
+        for name, home in (("WeylOperator", "_raw_operator"),
+                           ("LatticeRelation", "lattice_relations")):
+            inside = _inside(tree, home)
+            found += [f"{path.name}:{node.lineno}"
+                      for node in _new_calls(tree, name)
+                      if id(node) not in inside]
+    assert callers == TRUSTED_OPERATOR_CALLERS
+    assert found == []
+
+
+def test_hand_made_relation_builds_the_same_operators():
+    """A relation from the validating constructor and the one
+    `lattice_relations` makes for the same vector are one relation."""
+    for d, bound in ((1, 4), (2, 3), (3, 2)):
+        spec = build_projective_model(d, ordering="interior-first")
+        for made in lattice_relations(spec, bound):
+            hand = LatticeRelation(made.vector)
+            assert hand == made
+            assert ((hand.positive, hand.negative, hand.degree)
+                    == (made.positive, made.negative, made.degree))
+            assert toric_operator(spec.n, hand) == toric_operator(spec.n,
+                                                                   made)
