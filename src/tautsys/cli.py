@@ -168,12 +168,8 @@ def cmd_build_system(args):
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
     system = build_scalar_system(spec, relations, args.p)
-    payload = {
-        "model": serialize.model_to_obj(spec),
-        "relations": [serialize.relation_to_obj(r) for r in relations],
-        "system": serialize.system_to_obj(system),
-    }
-    text = serialize.dumps(payload)
+    text = serialize.dumps(
+        serialize.build_system_document(spec, relations, system))
     lines: list[str] = []
     _header(args, lines)
     lines.append(f"model: d={spec.d} n={spec.n} i0={spec.i0}")

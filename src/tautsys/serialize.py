@@ -15,7 +15,7 @@ from .membership import MembershipCertificate
 from .model import LatticeRelation, ModelSpec
 from .series import LaurentSeries
 from .systems import DiffSystem
-from .weyl import WeylOperator
+from .weyl import WeylOperator, _term_order
 
 
 def rat_str(value: Rat) -> str:
@@ -113,14 +113,30 @@ def relation_to_obj(rel: LatticeRelation) -> dict:
 
 
 def system_to_obj(system: DiffSystem) -> dict:
+    return _system_obj(system, map(operator_to_obj, system.operators))
+
+
+def _system_obj(system: DiffSystem, operators) -> dict:
     return {
         "kind": system.kind,
         "n": system.n,
         "p": system.p,
         "beta_e": rat_str(system.beta_e),
         "operators": [
-            {"label": label, "operator": operator_to_obj(op)}
-            for label, op in system.labelled()],
+            {"label": label, "operator": op}
+            for label, op in zip(system.labels, operators)],
+    }
+
+
+def build_system_document(spec: ModelSpec, relations: list[LatticeRelation],
+                          system: DiffSystem) -> dict:
+    """What `tautsys build-system` writes: the forms of `model_to_obj`,
+    `relation_to_obj` and `system_to_obj`, but with the relations and
+    operators left as objects, which `dumps` writes straight from them."""
+    return {
+        "model": model_to_obj(spec),
+        "relations": relations,
+        "system": _system_obj(system, system.operators),
     }
 
 
@@ -139,9 +155,12 @@ def dumps(obj: dict) -> str:
 
     Strings and keys are quoted by the C helper that `json.dumps` uses
     under `ensure_ascii`; a list of plain ints is written by one `join`,
-    memoized for this call only, since exponent vectors repeat across
-    terms (85% of the int lists in the `build-system` payloads are
-    repeats).  A float, a non-`str` key or any other type raises
+    memoized for this call and indent only, since exponent vectors repeat
+    across terms (85% of the int lists in the `build-system` payloads are
+    repeats).  A `WeylOperator` or a `LatticeRelation` (exact type, not a
+    subclass) is written straight from its terms or vector as the text of
+    its `operator_to_obj` or `relation_to_obj` form, with no dict or list
+    made for it.  A float, a non-`str` key or any other type raises
     `TypeError`; `_quote` refuses a non-`str` key.
     """
     chunks: list[str] = []
@@ -155,9 +174,34 @@ def dumps(obj: dict) -> str:
 _PLAIN_INT = {int}
 
 
+class _IntLists(dict):
+    """The text of each plain-int tuple written at one indent, made on
+    first use; one per indent and `dumps` call."""
+
+    __slots__ = ("newline",)
+
+    def __init__(self, newline: str):
+        super().__init__()
+        self.newline = newline
+
+    def __missing__(self, values: tuple[int, ...]) -> str:
+        inner = self.newline + "  "
+        text = self[values] = ("[" + inner + ("," + inner).join(
+            map(int.__repr__, values)) + self.newline + "]")
+        return text
+
+
+def _int_lists(ints: dict, newline: str) -> _IntLists:
+    memo = ints.get(newline)
+    if memo is None:
+        memo = ints[newline] = _IntLists(newline)
+    return memo
+
+
 def _write(value, chunks: list[str], ints: dict, newline: str) -> None:
     """Append `value` to `chunks`; `newline` is the line break and indent
-    of the line that `value` starts on."""
+    of the line that `value` starts on; `ints` maps each indent to its
+    `_IntLists`."""
     if isinstance(value, dict):
         if not value:
             chunks.append("{}")
@@ -173,15 +217,10 @@ def _write(value, chunks: list[str], ints: dict, newline: str) -> None:
         if not value:
             chunks.append("[]")
             return
-        inner = newline + "  "
         if set(map(type, value)) == _PLAIN_INT:
-            key = (newline, *value)
-            text = ints.get(key)
-            if text is None:
-                text = ints[key] = ("[" + inner + ("," + inner).join(
-                    map(int.__repr__, value)) + newline + "]")
-            chunks.append(text)
+            chunks.append(_int_lists(ints, newline)[tuple(value)])
             return
+        inner = newline + "  "
         separator = "[" + inner
         for item in value:
             chunks.append(separator)
@@ -198,6 +237,43 @@ def _write(value, chunks: list[str], ints: dict, newline: str) -> None:
         chunks.append("false")
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
+    elif type(value) is WeylOperator:
+        _write_operator(value, chunks, ints, newline)
+    elif type(value) is LatticeRelation:
+        inner = newline + "  "
+        chunks.append(f'{{{inner}"vector": '
+                      f'{_int_lists(ints, inner)[value.vector]}{newline}}}')
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_operator(op: WeylOperator, chunks: list[str], ints: dict,
+                    newline: str) -> None:
+    """Append the text of `operator_to_obj(op)` straight from its terms,
+    in the keys' sorted order: "families", "n", "terms", and per term
+    "coeff", "coord_1", "coord_2", "deriv_1", "deriv_2"."""
+    if type(op.n) is not int:  # an `n` of True is written `true`
+        _write(operator_to_obj(op), chunks, ints, newline)
+        return
+    inner = newline + "  "
+    item = inner + "  "
+    field = item + "  "
+    # `exact.exponents` and the trusted builders make exponent tuples of
+    # plain ints only, so each tuple is its own memo key
+    exps = _int_lists(ints, field)
+    terms = op.terms
+    parts = []
+    for key in sorted(terms, key=_term_order):
+        c1, c2, d1, d2 = key
+        parts.append(
+            f'{{{field}"coeff": "{rat_str(terms[key])}",'
+            f'{field}"coord_1": {exps[c1]},{field}"coord_2": {exps[c2]},'
+            f'{field}"deriv_1": {exps[d1]},{field}"deriv_2": {exps[d2]}'
+            f'{item}}}')
+    body = ("[" + item + ("," + item).join(parts) + inner + "]" if parts
+            else "[]")
+    family_1, family_2 = map(_quote, op.families)
+    chunks.append(
+        f'{{{inner}"families": [{item}{family_1},{item}{family_2}{inner}],'
+        f'{inner}"n": {op.n},{inner}"terms": {body}{newline}}}')

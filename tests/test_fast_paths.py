@@ -25,8 +25,11 @@ back-substitutes values and nullspace in one loop; the elimination with a
 `Fraction` multiplier matrix and two back-substitutions is the reference on
 a seeded battery of rational systems and on the certificate systems that
 `membership_test` builds.  `serialize.dumps` writes indent-2 JSON in one
-pass; `json.dumps(..., indent=2)`, the call it replaced, is the reference
-on the `build-system` payloads and on a seeded battery of nested values.
+pass, operators and relations straight from the objects;
+`json.dumps(..., indent=2)` of their `*_to_obj` forms, the call it
+replaced, is the reference on the `build-system` payloads, on what the CLI
+prints and writes for them, and on seeded batteries of nested values and
+of checked operators and relations.
 `lattice_relations` and the system builders make their relations and
 operators without re-checking parts they built themselves; the validating
 builders they replaced are the references on every system the caps admit,
@@ -46,7 +49,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tautsys.membership
-from tautsys import serialize
+from tautsys import cli, serialize
 from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, Solution,
                            SparsePoly, add_term, multiset, solve_exact)
 from tautsys.membership import (SectionPoint, derivative_query,
@@ -623,13 +626,13 @@ def test_compose_matches_pair_loop_on_system_operators(d, bounds, ps,
 
 
 @st.composite
-def operators(draw, n=None, families=None):
+def operators(draw, n=None, families=None, coefficients=rationals):
     n = draw(st.integers(1, 3)) if n is None else n
     families = (draw(st.sampled_from(sorted(DUAL_PAIR))) if families is None
                 else families)
     exponents = st.tuples(*(st.integers(0, 3) for _ in range(n)))
     terms = draw(st.dictionaries(
-        st.tuples(exponents, exponents, exponents, exponents), rationals,
+        st.tuples(exponents, exponents, exponents, exponents), coefficients,
         max_size=5))
     return WeylOperator(n, terms, families)
 
@@ -1246,6 +1249,136 @@ def test_dumps_matches_indent_encoder_on_edge_cases(obj):
 def test_dumps_refuses_floats_non_str_keys_and_sets(obj):
     with pytest.raises(TypeError):
         serialize.dumps(obj)
+
+
+def cli_json(capsys, tmp_path, d, ordering, bound, p):
+    """The JSON `tautsys build-system` prints for one row, after checking
+    that `--out` writes the same bytes."""
+    argv = ["build-system", "--d", str(d), "--p", str(p), "--degree-bound",
+            str(bound), "--ordering", ordering]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    text = out.split("system-json:\n", 1)[1].rsplit("\nverdict: PASS", 1)[0]
+    target = tmp_path / "system.json"
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_text(encoding="utf-8") == text + "\n"
+    return text + "\n"
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+def test_build_system_json_matches_indent_encoder(ordering, capsys,
+                                                  tmp_path):
+    """The CLI hands `dumps` the relations and operators themselves; what
+    it prints and writes is the indent-2 encoding of their `*_to_obj`
+    forms."""
+    for d, p, bound in DUMPS_ROWS:
+        assert (cli_json(capsys, tmp_path, d, ordering, bound, p)
+                == ref_dumps(build_system_payload(d, ordering, bound, p))), (
+            d, p, bound)
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("p", [0, 1])
+def test_build_system_json_reads_back_to_the_system(ordering, p, capsys,
+                                                    tmp_path):
+    """Read back by `json.loads` alone, the d = 2 bound-4 JSON gives the
+    built relations and, label by label, equal operators."""
+    obj = json.loads(cli_json(capsys, tmp_path, 2, ordering, 4, p))
+    spec = build_projective_model(2, ordering=ordering)
+    assert ([tuple(rel["vector"]) for rel in obj["relations"]]
+            == [rel.vector for rel in lattice_relations(spec, 4)])
+    assert ([(entry["label"], serialize.operator_from_obj(entry["operator"]))
+             for entry in obj["system"]["operators"]]
+            == scalar_system(2, ordering, 4, p).labelled())
+
+
+def as_objs(value):
+    """`value` with every operator and relation in its `*_to_obj` form."""
+    if type(value) is WeylOperator:
+        return operator_to_obj(value)
+    if type(value) is LatticeRelation:
+        return serialize.relation_to_obj(value)
+    if isinstance(value, dict):
+        return {key: as_objs(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_objs(item) for item in value]
+    return value
+
+
+def nest(value, depth):
+    """`value` `depth` levels down, in lists beside plain dicts."""
+    for level in range(depth):
+        value = ([{"exponents": [0, 1], "level": level}, value]
+                 if level % 2 == 0 else {"inner": value, "plain": {}})
+    return value
+
+
+@st.composite
+def relations(draw):
+    """A checked relation: entries summing to zero, some beyond 64 bits."""
+    head = draw(st.lists(st.integers(-3, 3) | st.integers(-2**70, 2**70),
+                         min_size=1, max_size=4))
+    assume(any(head))
+    return LatticeRelation((*head, -sum(head)))
+
+
+wide_rationals = (rationals | st.integers(2**63, 2**70)
+                  | st.builds(Fraction, st.integers(-2**70, 2**70),
+                              st.integers(1, 2**66)))
+
+
+@battery
+@given(st.lists(operators(coefficients=wide_rationals) | relations(),
+                min_size=1, max_size=3))
+def test_dumps_writes_operators_and_relations_as_their_objects(values):
+    """At depths 0-3 and beside plain dicts, and in one call that meets
+    each exponent tuple at several indents and beside its own `*_to_obj`
+    form, `dumps` writes a checked operator or relation as the indent-2
+    encoder writes that form."""
+    for value in values:
+        for depth in range(4):
+            obj = nest(value, depth)
+            assert serialize.dumps(obj) == ref_dumps(as_objs(obj))
+    obj = [as_objs(values), *(nest(value, depth) for value in values
+                               for depth in range(4))]
+    assert serialize.dumps(obj) == ref_dumps(as_objs(obj))
+
+
+class SubOperator(WeylOperator):
+    __slots__ = ()
+
+
+class SubRelation(LatticeRelation):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    WeylOperator.zero(2), WeylOperator.zero(1, ("zeta", "xi")),
+    WeylOperator(True, {((1,), (0,), (0,), (2,)): Fraction(-1, 2)}),
+    LatticeRelation((1, -2, 1)), LatticeRelation((2**70, -2**70))])
+def test_dumps_writes_edge_operators_and_relations(value):
+    """The zero operator, an `n` of `True` (written `true`) and wide
+    relation entries."""
+    for obj in (value, [value, {}], {"a": [value, as_objs(value)]}):
+        assert serialize.dumps(obj) == ref_dumps(as_objs(obj))
+
+
+def test_dumps_writes_only_exact_operators_and_relations_directly():
+    """A subclass, and a plain dict shaped like a term, take the generic
+    path: the subclass is refused, as by `json.dumps`, and the dict's
+    tuple and `True` are written as a list and `true`."""
+    op = WeylOperator(2, {((1, 0), (0, 0), (0, 1), (0, 0)): 3})
+    for value in (SubOperator(2, op.terms), SubRelation((1, -1))):
+        for obj in (value, [value], {"a": value}):
+            with pytest.raises(TypeError):
+                ref_dumps(obj)
+            with pytest.raises(TypeError):
+                serialize.dumps(obj)
+    term = {"coeff": "3", "coord_1": [1, 0], "coord_2": (0, 0),
+            "deriv_1": [True, 0], "deriv_2": [0, 0]}
+    for obj in (term, operator_to_obj(op) | {"terms": [term]}, [op, term]):
+        assert serialize.dumps(obj) == ref_dumps(as_objs(obj))
 
 
 # ---------------------------------------------------------------------------
