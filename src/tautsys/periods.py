@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
+from operator import add, sub
 
-from .exact import Rat, SparsePoly, exponents, multiset
+from .exact import Rat, SparsePoly, add_term, exponents, multiset
 from .model import ModelSpec
 from .series import LaurentSeries, _raw_series, min_truncation
 from .systems import DiffSystem, VectorSolution, _component_key, _orderings
@@ -88,17 +89,59 @@ def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
     return _raw_series(n, i0, terms, order)
 
 
-def _derivative(table: dict[tuple[int, ...], LaurentSeries],
-                combo: tuple[int, ...]) -> LaurentSeries:
-    """Iterated derivative of `table[()]` by the sorted index tuple `combo`,
-    memoized in `table` one `derivative_a` past each prefix.  Derivatives
-    commute exactly, truncation bookkeeping included, so every ordering of
-    the indices shares the series stored under the sorted tuple."""
-    for stop in range(1, len(combo) + 1):
-        if combo[:stop] not in table:
-            table[combo[:stop]] = table[combo[:stop - 1]].derivative_a(
-                combo[stop - 1])
-    return table[combo]
+def _derive_into(base: LaurentSeries, combo: tuple[int, ...],
+                 target: int | None, terms: dict, weight: int = 1,
+                 lift: bool = False) -> None:
+    """Add `weight` times the derivative of `base` by the index multiset
+    `combo` into `terms`, in one falling-factorial pass.
+
+    A term c a^e b^f goes to c * weight * prod_k (e_k)(e_k - 1)..(e_k - K_k
+    + 1) at a^(e - K), where K counts the indices of `combo`; the factor
+    holds for a negative e_{i0} too, and a term whose factor vanishes is
+    dropped.  With `lift` the image also gains b^K, the generating series'
+    b-monomial.  Terms past expansion index `target` are cut as they go.
+    """
+    n, i0 = base.n, base.i0
+    shift = multiset(n, combo)
+    # the j-th repeat of index k contributes the factor e_k - j
+    steps = [(k, combo[:at].count(k)) for at, k in enumerate(combo)]
+    # a derivative by a non-distinguished variable lowers the expansion
+    # index by one; only a base reaching past target + drop needs the cut
+    drop = len(combo) - shift[i0]
+    cut = target is not None and (base.truncation is None
+                                  or base.truncation > target + drop)
+    lifted: dict = {}
+    for (a, b), coeff in base.terms.items():
+        factor = weight
+        for k, j in steps:
+            factor *= a[k] - j
+        if not factor or cut and sum(a) - a[i0] - drop > target:
+            continue
+        if lift:
+            b_key = lifted.get(b)
+            if b_key is None:
+                b_key = lifted[b] = tuple(map(add, b, shift))
+        else:
+            b_key = b
+        add_term(terms, (tuple(map(sub, a, shift)), b_key), coeff * factor)
+
+
+def _truncation(base: LaurentSeries, combo: tuple[int, ...]) -> int | None:
+    """Truncation of the derivative by `combo`: one lower per index other
+    than the distinguished one."""
+    if base.truncation is None:
+        return None
+    return base.truncation - len(combo) + combo.count(base.i0)
+
+
+def _derivative(base: LaurentSeries, combo: tuple[int, ...],
+                truncation: int | None = None) -> LaurentSeries:
+    """The derivative of `base` by the index multiset `combo`, cut at
+    `truncation` when that is lower than its own."""
+    truncation = min_truncation(_truncation(base, combo), truncation)
+    terms: dict = {}
+    _derive_into(base, combo, truncation, terms)
+    return _raw_series(base.n, base.i0, terms, truncation)
 
 
 def derivative_generating_series(base: LaurentSeries, p: int,
@@ -115,14 +158,11 @@ def derivative_generating_series(base: LaurentSeries, p: int,
         raise ValueError(
             f"base truncation {base.truncation} cannot certify order {order} "
             f"after {p} derivatives; need at least {order + p}")
-    n = base.n
-    table = {(): base}
-    pieces = []
-    for combo in combinations_with_replacement(range(n), p):
-        b_exp = multiset(n, combo)
-        pieces.append(_derivative(table, combo).scale(_orderings(b_exp))
-                      .mul_b_monomial(b_exp))
-    return pieces[0].plus(*pieces[1:]).pruned_to(order)
+    terms: dict = {}
+    for combo in combinations_with_replacement(range(base.n), p):
+        _derive_into(base, combo, order, terms,
+                     _orderings(multiset(base.n, combo)), lift=True)
+    return _raw_series(base.n, base.i0, terms, order)
 
 
 class PeriodFamily:
@@ -137,28 +177,31 @@ class PeriodFamily:
     def __init__(self, spec: ModelSpec, order: int):
         self.spec = spec
         self.base = period_series(spec, order)
-        self._derivatives = {(): self.base}
+        self._derivatives: dict[tuple[int, ...], LaurentSeries] = {}
 
     def derivative(self, alpha) -> LaurentSeries:
         """Iterated derivative of the base series by the multi-index alpha."""
         alpha = exponents(alpha, self.spec.n)
-        combo = tuple(i for i, count in enumerate(alpha) for _ in range(count))
-        return _derivative(self._derivatives, combo)
+        if alpha not in self._derivatives:
+            self._derivatives[alpha] = _derivative(self.base, tuple(
+                i for i, count in enumerate(alpha) for _ in range(count)))
+        return self._derivatives[alpha]
 
     def generating_series(self, p: int, order: int) -> LaurentSeries:
         return derivative_generating_series(self.base, p, order)
 
 
 def derivative_vector_solution(base: LaurentSeries, p: int) -> VectorSolution:
-    """Component form of the derivative data, all pruned to a shared order."""
+    """Component form of the derivative data, all pruned to a shared order.
+    The orderings of one index multiset share its series."""
     if p not in (1, 2):
         raise ValueError("vector components are kept for p = 1 and 2 only")
-    table = {(): base}
-    components = {_component_key(slot): _derivative(table, tuple(sorted(slot)))
-                  for slot in product(range(base.n), repeat=p)}
-    common = min_truncation(*(s.truncation for s in components.values()))
-    components = {key: s.pruned_to(common) for key, s in components.items()}
-    return VectorSolution(n=base.n, p=p, components=components)
+    slots = list(product(range(base.n), repeat=p))
+    common = min_truncation(*(_truncation(base, slot) for slot in slots))
+    series = {combo: _derivative(base, combo, common)
+              for combo in combinations_with_replacement(range(base.n), p)}
+    return VectorSolution(n=base.n, p=p, components={
+        _component_key(slot): series[tuple(sorted(slot))] for slot in slots})
 
 
 # ---------------------------------------------------------------------------

@@ -253,9 +253,6 @@ def _write_operator(op: WeylOperator, chunks: list[str], ints: dict,
     """Append the text of `operator_to_obj(op)` straight from its terms,
     in the keys' sorted order: "families", "n", "terms", and per term
     "coeff", "coord_1", "coord_2", "deriv_1", "deriv_2"."""
-    if type(op.n) is not int:  # an `n` of True is written `true`
-        _write(operator_to_obj(op), chunks, ints, newline)
-        return
     inner = newline + "  "
     item = inner + "  "
     field = item + "  "

@@ -133,14 +133,22 @@ class LaurentSeries(TermMap):
             for (a, b), c in self.terms.items()}
         return self._like(out)
 
+    def b_parts(self) -> dict[tuple[int, ...], "LaurentSeries"]:
+        """The series multiplying each b-monomial that occurs, by its
+        exponent (b-part of the keys zeroed), split in one pass."""
+        zero_exp = (0,) * self.n
+        parts: dict[tuple[int, ...], dict[TermKey, Rat]] = {}
+        for (a, b), c in self.terms.items():
+            part = parts.get(b)
+            if part is None:
+                part = parts[b] = {}
+            part[(a, zero_exp)] = c
+        return {b: self._like(part) for b, part in parts.items()}
+
     def b_coefficient(self, b_exp: Sequence[int]) -> "LaurentSeries":
         """Series multiplying the given b-monomial (b-part of the keys zeroed)."""
-        target = exponents(b_exp, self.n)
-        zero_exp = (0,) * self.n
-        out = {
-            (a, zero_exp): c
-            for (a, b), c in self.terms.items() if b == target}
-        return self._like(out)
+        part = self.b_parts().get(exponents(b_exp, self.n))
+        return self._like({}) if part is None else part
 
     def substitute_b(self, point: Sequence[int | Rat]) -> "LaurentSeries":
         """Specialize the b-variables at an exact rational point."""

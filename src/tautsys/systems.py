@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
+from operator import add
 
-from .exact import Rat, multiset
+from .exact import Rat, add_term, multiset
 from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
 from .series import LaurentSeries
 from .weyl import (DerivativeTable, WeylOperator, _raw_operator,
@@ -361,14 +362,23 @@ def scalarize(solution: VectorSolution) -> LaurentSeries:
     """Contract the component tuple with b-monomials.
 
     p = 1 sends (phi_k) to sum b_k phi_k; p = 2 sends (phi_lk) to
-    sum b_l b_k phi_lk.
+    sum b_l b_k phi_lk.  Every component adds into one term map.
     """
-    pieces = [series.mul_b_monomial(
-                  multiset(solution.n, key if solution.p > 1 else (key,)))
-              for key, series in solution.components.items()]
-    if not pieces:
+    components = list(solution.components.items())
+    if not components:
         raise ValueError("empty vector solution")
-    return pieces[0].plus(*pieces[1:])
+    first = components[0][1]
+    terms: dict = {}
+    for key, series in components:
+        first._check_compatible(series)
+        shift = multiset(solution.n, key if solution.p > 1 else (key,))
+        lifted: dict = {}
+        for (a, b), coeff in series.terms.items():
+            b_key = lifted.get(b)
+            if b_key is None:
+                b_key = lifted[b] = tuple(map(add, b, shift))
+            add_term(terms, (a, b_key), coeff)
+    return first._like(terms, *(series for _, series in components))
 
 
 def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
@@ -378,7 +388,8 @@ def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
     (p = 1) is the coefficient of b_k; component (l, k) (p = 2) is the
     coefficient of b_l b_k, halved when l != k because a symmetric input
     contributes that monomial through both (l, k) and (k, l), so that
-    vectorize(scalarize(v)) == v on symmetric inputs.
+    vectorize(scalarize(v)) == v on symmetric inputs.  The series is split
+    by b-monomial in one pass.
     """
     if p not in (1, 2):
         raise UnsupportedOrderError(f"no vector presentation for p={p}")
@@ -389,15 +400,21 @@ def vectorize(series: LaurentSeries, p: int) -> VectorSolution:
         raise ValueError(
             f"series is b-homogeneous of degree {degree}, expected {p}")
     n = series.n
+    parts = series.b_parts()
+    shares: dict[tuple[int, ...], LaurentSeries] = {}
     components: dict[ComponentKey, LaurentSeries] = {}
     for slot in product(range(n), repeat=p):
         exponent = multiset(n, slot)
-        coefficient = series.b_coefficient(exponent)
-        # distinct orderings of the slot, all contributing this monomial
-        orderings = _orderings(exponent)
-        components[_component_key(slot)] = (
-            coefficient if orderings == 1
-            else coefficient.scale(Fraction(1, orderings)))
+        if exponent not in shares:
+            coefficient = parts.get(exponent)
+            if coefficient is None:
+                coefficient = series._like({})
+            # distinct orderings of the slot, all contributing this monomial
+            orderings = _orderings(exponent)
+            shares[exponent] = (
+                coefficient if orderings == 1
+                else coefficient.scale(Fraction(1, orderings)))
+        components[_component_key(slot)] = shares[exponent]
     return VectorSolution(n=n, p=p, components=components)
 
 

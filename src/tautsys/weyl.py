@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb, perm
-from operator import add, lshift
+from operator import add, index, lshift
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat,
@@ -43,6 +43,7 @@ class WeylOperator(TermMap):
     def __init__(self, n: int,
                  terms: Mapping[TermKey, int | str | Rat] | None = None,
                  families: tuple[str, str] = ("a", "b")):
+        n = index(n)  # a float raises TypeError; True becomes 1
         if n < 1:
             raise ValueError("n must be positive")
         if tuple(families) not in DUAL_PAIR:
@@ -259,9 +260,9 @@ class DerivativeTable:
     those bounds raises.
 
     Derivatives are memoized by their orders d1 + d2, each one step past
-    its prefix (the orders with the last nonzero one lowered), as in
-    `periods._derivative`; a term whose falling factor vanishes is never
-    stored.  Packed coordinate factors are memoized by c1 + c2.
+    its prefix (the orders with the last nonzero one lowered); a term whose
+    falling factor vanishes is never stored.  Packed coordinate factors are
+    memoized by c1 + c2.
     """
 
     __slots__ = ("series", "width", "offset", "shift", "order_i0", "_top",

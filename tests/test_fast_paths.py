@@ -12,8 +12,13 @@ the references they must reproduce label for label.  `compose` and
 operator (seeded pairs of them for `compose`), where every image must hold
 `int` coefficients and serialize as its reference does, and on a seeded
 battery of operators with fractional coefficients.  Period derivatives
-come from one memo table, so permuted slots share one series; the
-per-multiset and per-multi-index chains it replaced are the references.
+are one falling-factorial pass per index multiset, shared by the permuted
+slots of the vector components; `scalarize` adds every component into one
+term map and `vectorize` splits by b-monomial in one pass.  The memo chain
+of `derivative_a` steps, the per-multiset and per-multi-index chains, the
+per-component contraction and the per-slot scans are the references, on
+every period series of a grid and on a seeded battery of series carrying
+b-terms, Fraction, int and mixed coefficients and truncation None.
 `TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
 its reference, and a scalar operand is a one-term series at the zero key.
 `apply_operator` reads packed derivatives from a table shared by the
@@ -45,7 +50,7 @@ from math import comb, lcm
 from operator import add
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tautsys.membership
@@ -680,9 +685,14 @@ def ref_derivative(base, alpha):
     return derived
 
 
+def coefficient_types(series):
+    return {key: type(coeff) for key, coeff in series.terms.items()}
+
+
 def assert_same_series(fast, slow):
     assert fast == slow
     assert fast.truncation == slow.truncation
+    assert coefficient_types(fast) == coefficient_types(slow)
     assert series_to_obj(fast) == series_to_obj(slow)
 
 
@@ -712,6 +722,243 @@ def test_period_family_derivatives_match_chains(d, order, ordering):
             alpha[rng.randrange(family.spec.n)] += 1
         assert_same_series(family.derivative(alpha),
                            ref_derivative(family.base, alpha))
+
+
+# The memo-chain period derivatives and the per-component contraction and
+# slicing that the falling-factorial kernel, the one-map `scalarize` and the
+# one-pass `vectorize` replaced, as they were written.
+
+
+def ref_memo_derivative(table, combo):
+    """Derivative of `table[()]` by the sorted index tuple `combo`, one
+    `derivative_a` past each memoized prefix."""
+    for stop in range(1, len(combo) + 1):
+        if combo[:stop] not in table:
+            table[combo[:stop]] = table[combo[:stop - 1]].derivative_a(
+                combo[stop - 1])
+    return table[combo]
+
+
+def ref_memo_generating_series(base, p, order):
+    n = base.n
+    table = {(): base}
+    pieces = []
+    for combo in combinations_with_replacement(range(n), p):
+        b_exp = multiset(n, combo)
+        pieces.append(ref_memo_derivative(table, combo)
+                      .scale(_orderings(b_exp)).mul_b_monomial(b_exp))
+    return pieces[0].plus(*pieces[1:]).pruned_to(order)
+
+
+def ref_memo_family_derivative(table, alpha):
+    combo = tuple(i for i, count in enumerate(alpha) for _ in range(count))
+    return ref_memo_derivative(table, combo)
+
+
+def ref_memo_vector_solution(base, p):
+    table = {(): base}
+    components = {slot if p > 1 else slot[0]:
+                  ref_memo_derivative(table, tuple(sorted(slot)))
+                  for slot in product(range(base.n), repeat=p)}
+    common = min((s.truncation for s in components.values()
+                  if s.truncation is not None), default=None)
+    return VectorSolution(n=base.n, p=p, components={
+        key: s.pruned_to(common) for key, s in components.items()})
+
+
+def ref_piecewise_scalarize(solution):
+    pieces = [series.mul_b_monomial(
+                  multiset(solution.n, key if solution.p > 1 else (key,)))
+              for key, series in solution.components.items()]
+    return pieces[0].plus(*pieces[1:])
+
+
+def ref_sliced_vectorize(series, p):
+    """One scan of the series per slot, each the filter `b_coefficient`
+    was."""
+    n = series.n
+    if series.b_degree() not in (None, p):
+        raise ValueError("not b-homogeneous of degree p")
+    zero = (0,) * n
+    components = {}
+    for slot in product(range(n), repeat=p):
+        exponent = multiset(n, slot)
+        coefficient = series._like({
+            (a, zero): c for (a, b), c in series.terms.items()
+            if b == exponent})
+        orderings = _orderings(exponent)
+        components[slot if p > 1 else slot[0]] = (
+            coefficient if orderings == 1
+            else coefficient.scale(Fraction(1, orderings)))
+    return VectorSolution(n=n, p=p, components=components)
+
+
+def assert_same_solution(fast, slow):
+    assert (fast.n, fast.p) == (slow.n, slow.p)
+    assert list(fast.components) == list(slow.components)
+    for key, series in fast.components.items():
+        assert_canonical(series)
+        assert_same_series(series, slow.components[key])
+
+
+def exact_base(series):
+    """The same terms, claimed exact at every order."""
+    return _raw_series(series.n, series.i0, series.terms, None)
+
+
+# d -> the base series orders of the grid
+REFERENCE_ORDERS = {1: range(31), 2: range(9), 3: range(4)}
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d", sorted(REFERENCE_ORDERS))
+def test_period_derivatives_match_memo_chains(d, ordering):
+    """Generating series (p 1-3, cut at the base order minus p), vector
+    components, scalarize and vectorize (p 1-2) and family derivatives
+    (every multi-index up to order 2 and a seeded few of order 3) match
+    the memo-chain references on every order of the grid, and on the base
+    series claimed exact."""
+    spec = build_projective_model(d, ordering=ordering)
+    n = spec.n
+    rng = random.Random(d)
+    alphas = [multiset(n, combo) for q in (1, 2)
+              for combo in combinations_with_replacement(range(n), q)]
+    for order in REFERENCE_ORDERS[d]:
+        family = PeriodFamily(spec, order)
+        base = family.base
+        for source in (base, exact_base(base)):
+            for p in (1, 2, 3):
+                generating = derivative_generating_series(source, p,
+                                                          order - p)
+                assert_canonical(generating)
+                assert_same_series(
+                    generating,
+                    ref_memo_generating_series(source, p, order - p))
+                if p == 3:
+                    continue
+                assert_same_solution(vectorize(generating, p),
+                                     ref_sliced_vectorize(generating, p))
+                solution = derivative_vector_solution(source, p)
+                assert_same_solution(solution,
+                                     ref_memo_vector_solution(source, p))
+                scalar = scalarize(solution)
+                assert_canonical(scalar)
+                assert_same_series(scalar, ref_piecewise_scalarize(solution))
+                assert_same_solution(vectorize(scalar, p),
+                                     ref_sliced_vectorize(scalar, p))
+        table = {(): base}
+        extra = [multiset(n, [rng.randrange(n) for _ in range(3)])
+                 for _ in range(4)]
+        for alpha in [(0,) * n] + alphas + extra:
+            derived = family.derivative(alpha)
+            assert family.derivative(alpha) is derived
+            assert_canonical(derived)
+            assert_same_series(derived,
+                               ref_memo_family_derivative(table, alpha))
+
+
+@st.composite
+def derivable_series(draw, i0=None, truncation="any"):
+    """A seeded series with b-carrying terms and negative a_{i0} exponents
+    whose coefficients are Fractions, ints or a mix of both; `truncation`
+    may be given, None included."""
+    i0 = draw(st.integers(0, N - 1)) if i0 is None else i0
+    trunc = draw(truncations) if truncation == "any" else truncation
+    keys = st.tuples(
+        st.tuples(*(st.integers(-3, 1) if i == i0 else st.integers(0, 3)
+                    for i in range(N))),
+        st.tuples(*(st.integers(0, 2) for _ in range(N))))
+    fractions = LaurentSeries(
+        N, i0, draw(st.dictionaries(keys, rationals, max_size=8)), trunc)
+    kind = draw(st.sampled_from(("fraction", "int", "mixed")))
+    if kind == "fraction":
+        return fractions
+    ints = LaurentSeries(N, i0, draw(st.dictionaries(
+        keys, st.integers(-4, 4), max_size=8)), trunc)
+    ints = _raw_series(N, i0, {key: int(c) for key, c in ints.terms.items()},
+                       trunc)
+    return ints if kind == "int" else ints.plus(fractions)
+
+
+@st.composite
+def colliding_series(draw):
+    """s b_l plus a copy of s moved from a_k to a_l, times b_k: d/da_k of
+    the first and d/da_l of the second land on the same generating-series
+    key, and with `cancel` their coefficients sum to zero there."""
+    s = draw(derivable_series())
+    k, l = (i for i in range(N) if i != s.i0)
+    cancel = draw(st.booleans())
+    moved = {}
+    for (a, b), c in s.terms.items():
+        if a[k]:
+            key = (a[:k] + (a[k] - 1,) + a[k + 1:], b)
+            key = (key[0][:l] + (a[l] + 1,) + key[0][l + 1:], b)
+            moved[key] = (Fraction(-c * a[k], a[l] + 1) if cancel
+                          else draw(rationals.filter(bool)))
+    unit_k, unit_l = multiset(N, (k,)), multiset(N, (l,))
+    return s.mul_b_monomial(unit_l).plus(
+        LaurentSeries(N, s.i0, moved, s.truncation).mul_b_monomial(unit_k))
+
+
+ZERO_SERIES = [LaurentSeries.zero(N, 1), LaurentSeries.zero(N, 0, 3)]
+
+
+@battery
+@given(st.one_of(derivable_series(), colliding_series()), st.integers(1, 3),
+       st.integers(0, 2))
+@example(ZERO_SERIES[0], 2, 0)
+@example(ZERO_SERIES[1], 1, 1)
+def test_generating_series_matches_memo_chain_on_random_series(
+        base, p, below):
+    """Terms that land on one key, from a b-carrying base, accumulate and
+    cancel as in the chain; an exact base yields a series cut at `order`."""
+    top = 4 if base.truncation is None else base.truncation - p
+    order = top - below
+    assert_same_series(derivative_generating_series(base, p, order),
+                       ref_memo_generating_series(base, p, order))
+    assert_canonical(derivative_generating_series(base, p, order))
+    if base.truncation is not None:
+        with pytest.raises(ValueError):
+            derivative_generating_series(base, p, top + 1)
+
+
+@battery
+@given(derivable_series(), st.integers(1, 2))
+@example(ZERO_SERIES[0], 2)
+@example(ZERO_SERIES[1], 1)
+def test_vector_solution_matches_memo_chain_on_random_series(base, p):
+    assert_same_solution(derivative_vector_solution(base, p),
+                         ref_memo_vector_solution(base, p))
+
+
+@battery
+@given(st.data(), st.integers(1, 2), truncations)
+def test_scalarize_and_vectorize_match_references_on_random_series(
+        data, p, truncation):
+    """Components carrying b-terms land on shared keys in `scalarize`; a
+    b-homogeneous series splits as the per-slot scans did, and a series of
+    mixed b-degree is refused by both."""
+    i0 = data.draw(st.integers(0, N - 1))
+    keys = [slot if p > 1 else slot[0]
+            for slot in product(range(N), repeat=p)]
+    solution = VectorSolution(n=N, p=p, components={
+        key: data.draw(derivable_series(i0=i0, truncation=truncation))
+        for key in keys})
+    scalar = scalarize(solution)
+    assert_canonical(scalar)
+    assert_same_series(scalar, ref_piecewise_scalarize(solution))
+    mixed = data.draw(derivable_series(i0=i0, truncation=truncation))
+    graded = _raw_series(N, i0, {key: c for key, c in mixed.terms.items()
+                                 if sum(key[1]) == p}, truncation)
+    for source in (scalar, graded):
+        if len(source.b_degrees()) > 1:
+            with pytest.raises(ValueError):
+                vectorize(source, p)
+            with pytest.raises(ValueError):
+                ref_sliced_vectorize(source, p)
+        else:
+            assert_same_solution(vectorize(source, p),
+                                 ref_sliced_vectorize(source, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1358,8 +1605,8 @@ class SubRelation(LatticeRelation):
     WeylOperator(True, {((1,), (0,), (0,), (2,)): Fraction(-1, 2)}),
     LatticeRelation((1, -2, 1)), LatticeRelation((2**70, -2**70))])
 def test_dumps_writes_edge_operators_and_relations(value):
-    """The zero operator, an `n` of `True` (written `true`) and wide
-    relation entries."""
+    """The zero operator, an `n` of `True` (stored and written as 1) and
+    wide relation entries."""
     for obj in (value, [value, {}], {"a": [value, as_objs(value)]}):
         assert serialize.dumps(obj) == ref_dumps(as_objs(obj))
 

@@ -80,22 +80,60 @@ def test_sums_accumulate_in_one_pass():
     assert sorted(found) == []
 
 
+def _is_falling_factor(node):
+    """`<product> *= <value> - <step>`, one factor of a falling factorial."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Sub))
+
+
 def test_period_derivatives_have_one_walk():
-    """Every derivative of the period series is read from the one memo
-    table that `periods._derivative` fills."""
-    found = []
+    """Every derivative of the period series is one falling-factorial pass
+    of `periods._derive_into`: the period and system layers call no
+    `derivative_a`, take a falling factor nowhere else, and the generating
+    series, `PeriodFamily.derivative` and the vector components all read
+    the kernel."""
+    found, factors, callers = [], 0, {}
     for path in SOURCES:
         if path.name not in ("periods.py", "systems.py"):
             continue
         tree = _parse(path)
-        home = _inside(tree, "_derivative")
-        found += [f"{path.name}:{node.lineno}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "derivative_a"
-                  and id(node) not in home]
+        kernel = _inside(tree, "_derive_into")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "derivative_a"):
+                found.append(f"{path.name}:{node.lineno} derivative_a")
+            if _is_falling_factor(node):
+                if id(node) in kernel:
+                    factors += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno} falling factor")
+        for name in ("_derive_into", "_derivative"):
+            callers.setdefault(name, set()).update(_callers(tree, name))
     assert found == []
+    assert factors == 1
+    assert callers == {
+        "_derive_into": {"_derivative", "derivative_generating_series"},
+        "_derivative": {"derivative", "derivative_vector_solution"}}
+
+
+def test_b_monomials_split_in_one_place():
+    """`vectorize` and `b_coefficient` read the one split by b-monomial,
+    `LaurentSeries.b_parts`; `scalarize` makes no series per component."""
+    calls = {}
+    for path in SOURCES:
+        for func in ast.walk(_parse(path)):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("b_parts", "b_coefficient",
+                                               "mul_b_monomial")):
+                    calls.setdefault(node.func.attr, set()).add(
+                        f"{path.stem}.{func.name}")
+    assert calls == {"b_parts": {"series.b_coefficient", "systems.vectorize"}}
 
 
 def _callers(tree, name):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautsys import serialize
 from tautsys.exact import FamilyError, SparsePoly
 from tautsys.series import LaurentSeries
 from tautsys.weyl import (WeylOperator, commutator, compose, coord_a, coord_b,
@@ -34,6 +35,20 @@ def test_compose_kronecker_table():
             got_b = commutator(d_b(n, i), coord_b(n, j))
             assert got_b == WeylOperator.const(n, 1 if i == j else 0)
             assert commutator(d_a(n, i), coord_b(n, j)).is_zero()
+
+
+def test_operator_arity_is_an_int():
+    """`n` goes through `operator.index`: a float is refused, not kept to
+    fail later in JSON, and `True` is stored as the int 1."""
+    term = {((1, 0), (0, 0), (0, 1), (0, 0)): 1}
+    for wrong in (2.0, "2"):
+        with pytest.raises(TypeError):
+            WeylOperator(wrong, term)
+    one = WeylOperator(True, {((1,), (0,), (0,), (2,)): 1})
+    assert type(one.n) is int and one.n == 1
+    assert one == WeylOperator(1, {((1,), (0,), (0,), (2,)): 1})
+    assert serialize.dumps(one) == serialize.dumps(
+        WeylOperator(1, {((1,), (0,), (0,), (2,)): 1}))
 
 
 def a0_inverse(n=3):
