@@ -51,13 +51,14 @@ DEGREE_BOUNDS = (2, 4)
 #: MAX_ORDER.  Each row was run through `main` in both orderings, order by
 #: order until a run passed about 9 s, and holds the largest order whose
 #: slower ordering took at most 5 s in the median of 3 runs (2-core VM,
-#: Python 3.11), but never less than the operator-terms x series-terms
-#: cost bound it replaces admitted (so d=2 p=1 keeps orders 14 and 13 at
-#: degree bounds 2 and 3, 5 to 6 s) and never more than MAX_ORDER.
+#: Python 3.11), and never more than MAX_ORDER.  The p >= 1 rows were
+#: re-timed at their order and one above, 3 fresh-process runs per
+#: ordering: each d=2 row moved up one order, where every run of the
+#: higher order took under 5 s; d=3 p=1 at order 5 took about 7 s.
 MAX_VERIFY_ORDER = {
-    (2, 0, 2): 21, (2, 1, 2): 14, (2, 2, 2): 10, (2, 3, 2): 7,
-    (2, 0, 3): 19, (2, 1, 3): 13, (2, 2, 3): 9, (2, 3, 3): 7,
-    (2, 0, 4): 16, (2, 1, 4): 11, (2, 2, 4): 8, (2, 3, 4): 6,
+    (2, 0, 2): 21, (2, 1, 2): 15, (2, 2, 2): 11, (2, 3, 2): 8,
+    (2, 0, 3): 19, (2, 1, 3): 14, (2, 2, 3): 10, (2, 3, 3): 8,
+    (2, 0, 4): 16, (2, 1, 4): 12, (2, 2, 4): 9, (2, 3, 4): 7,
     (3, 0, 2): 6, (3, 1, 2): 4,
 }
 
