@@ -51,15 +51,16 @@ DEGREE_BOUNDS = (2, 4)
 #: MAX_ORDER.  Each row was run through `main` in both orderings, order by
 #: order until a run passed about 9 s, and holds the largest order whose
 #: slower ordering took at most 5 s in the median of 3 runs (2-core VM,
-#: Python 3.11), and never more than MAX_ORDER.  The p >= 1 rows were
-#: re-timed at their order and one above, 3 fresh-process runs per
-#: ordering: each d=2 row moved up one order, where every run of the
-#: higher order took under 5 s; d=3 p=1 at order 5 took about 7 s.
+#: Python 3.11), and never more than MAX_ORDER.  Since then every row has
+#: been re-timed at its order and one above, at least 3 fresh-process runs
+#: per ordering and 5 where a run came within 1 s of 5 s, and a row moved
+#: up one order only where every run of the higher order took under 5 s:
+#: d=3 p=0 order 7 took 4.0-4.8 s, d=3 p=1 order 5 took 5.5-6.4 s.
 MAX_VERIFY_ORDER = {
-    (2, 0, 2): 21, (2, 1, 2): 15, (2, 2, 2): 11, (2, 3, 2): 8,
-    (2, 0, 3): 19, (2, 1, 3): 14, (2, 2, 3): 10, (2, 3, 3): 8,
-    (2, 0, 4): 16, (2, 1, 4): 12, (2, 2, 4): 9, (2, 3, 4): 7,
-    (3, 0, 2): 6, (3, 1, 2): 4,
+    (2, 0, 2): 22, (2, 1, 2): 16, (2, 2, 2): 11, (2, 3, 2): 8,
+    (2, 0, 3): 20, (2, 1, 3): 15, (2, 2, 3): 11, (2, 3, 3): 8,
+    (2, 0, 4): 17, (2, 1, 4): 13, (2, 2, 4): 9, (2, 3, 4): 7,
+    (3, 0, 2): 7, (3, 1, 2): 4,
 }
 
 

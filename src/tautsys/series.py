@@ -70,7 +70,7 @@ class LaurentSeries(TermMap):
         """A sum is exact only up to the lowest truncation of its operands."""
         truncation = min_truncation(self.truncation,
                                     *(s.truncation for s in operands))
-        return _raw_series(self.n, self.i0, terms, truncation)
+        return _cut_series(self.n, self.i0, terms, truncation)
 
     def _constant_key(self):
         return ((0,) * self.n,) * 2
@@ -166,7 +166,7 @@ class LaurentSeries(TermMap):
         return self._like(out)
 
     def pruned_to(self, truncation: int | None) -> "LaurentSeries":
-        return _raw_series(self.n, self.i0, self.terms,
+        return _cut_series(self.n, self.i0, self.terms,
                            min_truncation(self.truncation, truncation))
 
     def __repr__(self):
@@ -174,17 +174,26 @@ class LaurentSeries(TermMap):
                 f"terms={len(self.terms)}, truncation={self.truncation})")
 
 
-def _raw_series(n: int, i0: int, terms: dict[TermKey, Rat],
+def _cut_series(n: int, i0: int, terms: dict[TermKey, Rat],
                 truncation: int | None) -> LaurentSeries:
-    """Wrap an already canonical term map, applying only the truncation cut.
-
-    The caller guarantees valid keys and nonzero coefficients; outside input
-    goes through the validating constructor instead.
-    """
+    """`_raw_series` of the canonical `terms` less those past `truncation`:
+    a sum may hold terms of operands exact to a higher order, a scalar adds
+    at index 0 whatever the truncation, and `pruned_to` lowers it."""
     if truncation is not None and any(
             _index(a, i0) > truncation for a, _ in terms):
         terms = {key: c for key, c in terms.items()
                  if _index(key[0], i0) <= truncation}
+    return _raw_series(n, i0, terms, truncation)
+
+
+def _raw_series(n: int, i0: int, terms: dict[TermKey, Rat],
+                truncation: int | None) -> LaurentSeries:
+    """Wrap an already canonical term map, with no scan.
+
+    The caller guarantees valid keys, nonzero coefficients and no key past
+    the truncation; outside input goes through the validating constructor
+    instead, and term maps that may reach past it through `_cut_series`.
+    """
     out = LaurentSeries.__new__(LaurentSeries)
     out.n, out.i0, out.terms, out.truncation = n, i0, terms, truncation
     return out

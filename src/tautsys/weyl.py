@@ -201,8 +201,8 @@ def index_shift(op: WeylOperator, i0: int) -> int:
     mapped to one exact through N + index_shift, so that is the order the
     result can certify.  The operator must be nonzero.
     """
-    return min((sum(c1) - c1[i0]) - (sum(d1) - d1[i0])
-               for (c1, _, d1, _) in op.terms)
+    return min([sum(c1) - c1[i0] - sum(d1) + d1[i0]
+                for c1, _, d1, _ in op.terms])
 
 
 def apply_operator(op: WeylOperator, target: LaurentSeries | SparsePoly,
@@ -261,21 +261,25 @@ class DerivativeTable:
 
     Derivatives are memoized by their orders d1 + d2, each one step past
     its prefix (the orders with the last nonzero one lowered); a term whose
-    falling factor vanishes is never stored.  Packed coordinate factors are
-    memoized by c1 + c2.
+    falling factor vanishes is never stored, and the derivative of an empty
+    prefix is empty with no pass.  Packed coordinate factors are memoized by
+    c1 + c2.
     """
 
     __slots__ = ("series", "width", "offset", "shift", "order_i0", "_top",
-                 "_maps", "_shifts")
+                 "_reach", "_maps", "_shifts")
 
     def __init__(self, series: LaurentSeries,
                  operators: Iterable[WeylOperator]):
         i0 = series.i0
+        zero = (0,) * series.n
         shift = order_i0 = 0
         for op in operators:
             for c1, c2, d1, _ in op.terms:
-                shift = max(shift, *c1, *c2)
-                order_i0 = max(order_i0, d1[i0])
+                if c1 != zero or c2 != zero:
+                    shift = max(shift, *c1, *c2)
+                if d1[i0] > order_i0:
+                    order_i0 = d1[i0]
         keys = series.terms.keys()
         lowest = min((a[i0] for a, _ in keys), default=0)
         offset = order_i0 - min(lowest, 0)
@@ -293,6 +297,9 @@ class DerivativeTable:
             exponents[i0] += offset
             key = _pack(exponents, self.width) | _index(a, i0) << top
             packed[key] = coeff
+        # the highest expansion index of the series, which a derivative
+        # lowers by one per non-distinguished a-order
+        self._reach = max(packed, default=0) >> top
         self._maps = {(0,) * (2 * series.n): packed}
         self._shifts: dict[tuple[int, ...], int] = {}
 
@@ -300,7 +307,8 @@ class DerivativeTable:
         """Packed map of the series differentiated `orders[k]` times in slot
         k (0 .. n-1 for a, n .. 2n-1 for b)."""
         maps = self._maps
-        if orders not in maps:
+        step = maps.get(orders)
+        if step is None:
             slot = len(orders) - 1
             while not orders[slot]:
                 slot -= 1
@@ -313,41 +321,72 @@ class DerivativeTable:
                 offset = self.offset
             prefix = self.derivative(
                 orders[:slot] + (orders[slot] - 1,) + orders[slot + 1:])
-            width = self.width
-            at = slot * width
-            unit, mask = 1 << at, (1 << width) - 1
-            if slot < self.series.n and slot != self.series.i0:
-                unit |= 1 << self._top
             step = {}
-            for key, coeff in prefix.items():
-                e = (key >> at & mask) - offset
-                if e:
-                    step[key - unit] = coeff * e
+            if prefix:
+                width = self.width
+                at = slot * width
+                unit, mask = 1 << at, (1 << width) - 1
+                if slot < self.series.n and slot != self.series.i0:
+                    unit |= 1 << self._top
+                for key, coeff in prefix.items():
+                    e = (key >> at & mask) - offset
+                    if e:
+                        step[key - unit] = coeff * e
             maps[orders] = step
-        return maps[orders]
+        return step
 
     def _shift(self, powers: tuple[int, ...]) -> int:
         """Packed coordinate factor with the exponents `powers`."""
-        if powers not in self._shifts:
+        shift = self._shifts.get(powers)
+        if shift is None:
             if max(powers) > self.shift:
                 raise OverflowError(
                     f"coordinate powers {powers} reach past the slots of "
                     "this derivative table")
             a_powers = powers[:self.series.n]
-            self._shifts[powers] = (_pack(powers, self.width)
-                                    | _index(a_powers, self.series.i0)
-                                    << self._top)
-        return self._shifts[powers]
+            shift = self._shifts[powers] = (_pack(powers, self.width)
+                                            | _index(a_powers, self.series.i0)
+                                            << self._top)
+        return shift
+
+    def _below(self, derivative: dict[int, Rat], d1: tuple[int, ...],
+               level: int) -> dict[int, Rat]:
+        """The terms of `derivative`, taken `d1` in a, at expansion index
+        `level` or below; the map itself when it reaches no higher."""
+        if self._reach - sum(d1) + d1[self.series.i0] <= level:
+            return derivative
+        top = self._top
+        return {key: c for key, c in derivative.items() if key >> top <= level}
 
     def apply(self, op: WeylOperator,
               truncation: int | None) -> dict[TermKey, Rat]:
         """The nonzero terms of the operator applied to the series up to
-        expansion index `truncation` (None: all of them), unpacked."""
-        out: dict[int, Rat] = {}
+        expansion index `truncation` (None: all of them), unpacked.
+
+        Only terms whose derivative is nonempty contribute.  Two of them
+        with opposite coefficients and one coordinate factor (every toric
+        and mixed row) leave no residual exactly when their derivatives
+        agree up to the truncation less the factor's index; that is checked
+        with one comparison before anything is summed."""
+        parts = []
         for (c1, c2, d1, d2), coeff in op.terms.items():
-            coeff = _integral(coeff)
             derivative = self.derivative(d1 + d2)
             shift = self._shift(c1 + c2)
+            if derivative:
+                parts.append((_integral(coeff), derivative, shift, d1))
+        if not parts:
+            return {}
+        if len(parts) == 2:
+            (coeff, first, shift, d1), (other, second, factor, e1) = parts
+            if shift == factor and coeff == -other:
+                if truncation is not None:
+                    level = truncation - (shift >> self._top)
+                    first = self._below(first, d1, level)
+                    second = self._below(second, e1, level)
+                if first == second:
+                    return {}
+        out: dict[int, Rat] = {}
+        for coeff, derivative, shift, _ in parts:
             if not out:
                 out = {key + shift: coeff * c for key, c in derivative.items()}
                 continue

@@ -190,9 +190,9 @@ def test_resource_bounds_rejected(capsys):
     "fourier --d 3 --degree-bound 4",
     "build-system --d 3 --p 2 --degree-bound 2",
     "verify-periods --d 2 --order 30",
-    "verify-periods --d 2 --p 1 --order 15",
+    "verify-periods --d 2 --p 1 --order 16",
     "verify-periods --d 3 --p 2 --order 2",
-    "verify-periods --d 3 --order 7 --degree-bound 2",
+    "verify-periods --d 3 --order 8 --degree-bound 2",
     "verify-periods --d 3 --p 1 --order 5 --degree-bound 2",
     "verify-periods --d 3 --order 12 --degree-bound 2",
     "verify-periods --d 3 --p 1 --order 1 --degree-bound 2",

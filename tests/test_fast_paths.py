@@ -24,7 +24,13 @@ its reference, and a scalar operand is a one-term series at the zero key.
 `apply_operator` reads packed derivatives from a table shared by the
 operators of a system; the pair-by-pair kernel it replaced is the
 reference on every system operator and a seeded battery, and on every
-vector equation, whose components share one table each.  `solve_exact`
+vector equation, whose components share one table each.  The table skips
+terms whose derivative is empty and settles a vanishing binomial row by
+comparing its two derivatives; the accumulating loop it ran before is the
+reference on every operator of every system the caps admit, on seeded
+binomial rows that vanish or do not and on empty series, and maps that
+count the passes over them show each vanishing toric and mixed row
+settled without a sum.  `solve_exact`
 carries the witness multipliers as integer columns of its Bareiss rows and
 back-substitutes values and nullspace in one loop; the elimination with a
 `Fraction` multiplier matrix and two back-substitutions is the reference on
@@ -72,9 +78,9 @@ from tautsys.systems import (DiffSystem, VectorSolution, _orderings,
                              build_vector_system, dual_generator_families,
                              scalarize, symmetry_matrix, vector_residual,
                              vectorize, verify_vector_system)
-from tautsys.weyl import (DUAL_PAIR, DerivativeTable, WeylOperator, _pack,
-                          apply_operator, compose, coord_a, coord_b, d_a, d_b,
-                          euler_a, fourier, index_shift)
+from tautsys.weyl import (DUAL_PAIR, DerivativeTable, WeylOperator,
+                          _integral, _pack, apply_operator, compose, coord_a,
+                          coord_b, d_a, d_b, euler_a, fourier, index_shift)
 
 
 def state_growth_period_series(spec, order):
@@ -1051,7 +1057,7 @@ def ref_apply_operator(op, target):
                 tuple(q - g + c for q, g, c in zip(b_exp, d2, c2)),
             )
             add_term(out, key, oc * sc * factor)
-    return _raw_series(target.n, target.i0, out, truncation)
+    return _raw_series(target.n, target.i0, out, None).pruned_to(truncation)
 
 
 def exact_copy(series):
@@ -1197,6 +1203,262 @@ def test_packing_refuses_what_does_not_fit():
             apply_operator(op, target, table)
     with pytest.raises(ValueError):
         apply_operator(d_a(3, spec.i0), exact_copy(target), table)
+
+
+# ---------------------------------------------------------------------------
+# Binomial rows and empty derivatives against the accumulating loop
+# ---------------------------------------------------------------------------
+
+
+def ref_index_shift(op, i0):
+    return min((sum(c1) - c1[i0]) - (sum(d1) - d1[i0])
+               for (c1, _, d1, _) in op.terms)
+
+
+def ref_accumulate(table, op, truncation):
+    """The loop `DerivativeTable.apply` ran before it skipped empty
+    derivatives and settled binomial rows by a comparison: every term's
+    packed derivative is summed into one map, then unpacked and cut."""
+    out = {}
+    for (c1, c2, d1, d2), coeff in op.terms.items():
+        coeff = _integral(coeff)
+        derivative = table.derivative(d1 + d2)
+        shift = table._shift(c1 + c2)
+        if not out:
+            out = {key + shift: coeff * c for key, c in derivative.items()}
+            continue
+        get = out.get
+        for key, c in derivative.items():
+            key += shift
+            out[key] = get(key, 0) + coeff * c
+    n, i0, width, top = table.series.n, table.series.i0, table.width, table._top
+    mask = (1 << width) - 1
+    ats = range(0, top, width)
+    terms = {}
+    for key, coeff in out.items():
+        if coeff and (truncation is None or key >> top <= truncation):
+            exponents = [key >> at & mask for at in ats]
+            exponents[i0] -= table.offset
+            terms[(tuple(exponents[:n]), tuple(exponents[n:]))] = coeff
+    return terms
+
+
+def ref_table_residual(op, target, table):
+    """`apply_operator` over `table` with the accumulating loop."""
+    truncation = (None if target.truncation is None
+                  else target.truncation + ref_index_shift(op, target.i0))
+    return _raw_series(target.n, target.i0,
+                       ref_accumulate(table, op, truncation), truncation)
+
+
+def counting_table(series, operators):
+    """A table holding every derivative the operators take, whose maps
+    count the passes made over their items."""
+    table = DerivativeTable(series, operators)
+    for op in operators:
+        for _, _, d1, d2 in op.terms:
+            table.derivative(d1 + d2)
+    passes = []
+
+    class Counted(dict):
+        def items(self):
+            passes.append(1)
+            return super().items()
+
+    table._maps = {orders: Counted(step)
+                   for orders, step in table._maps.items()}
+    return table, passes
+
+
+def assert_settled_by_comparison(op, target, table, passes):
+    """A vanishing binomial row sums nothing: at most one of its two
+    derivatives is read, to cut it at the level of the comparison."""
+    before = len(passes)
+    residual = apply_operator(op, target, table)
+    assert residual.is_zero()
+    assert len(passes) - before <= 1
+    return residual
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds,orders", APPLY_CASES)
+def test_table_apply_matches_accumulating_loop_on_systems(d, bounds, orders,
+                                                          ordering):
+    """Every operator of every system the caps admit, on the period and
+    generating series at a few orders and on their exact copies, gives the
+    accumulating loop's residual from one table shared by all of them.
+    The toric and mixed rows vanish on the truncated series, each settled
+    by one comparison."""
+    spec = build_projective_model(d, ordering=ordering)
+    for p, top in orders.items():
+        operators = {label: op for bound in bounds
+                     for label, op in scalar_system(d, ordering, bound,
+                                                    p).labelled()}
+        for order in range(max(top - 2, 0), top + 1):
+            base = period_series(spec, order + p)
+            data = derivative_generating_series(base, p, order) if p else base
+            for target in (data, exact_copy(data)):
+                table, passes = counting_table(target, operators.values())
+                reference = DerivativeTable(target, operators.values())
+                for label, op in operators.items():
+                    if target is data and label.startswith(("toric",
+                                                            "mixed")):
+                        fast = assert_settled_by_comparison(op, target, table,
+                                                            passes)
+                    else:
+                        fast = apply_operator(op, target, table)
+                    assert_same_series(
+                        fast, ref_table_residual(op, target, reference))
+
+
+def _plus(exponents, at, count):
+    return exponents[:at] + (exponents[at] + count,) + exponents[at + 1:]
+
+
+@st.composite
+def binomial_cases(draw):
+    """A series on which D_{a_j} and D_{a_k} agree, (a_j + a_k)^m times
+    terms free of a_j and a_k, and coeff * a^c D^alpha + other * a^c'
+    D^beta, where alpha and beta split r derivatives between a_j and a_k
+    on top of a shared gamma.  Either of j, k may be i0, so the two terms
+    drop the expansion index equally or not.  The row vanishes, with c = c'
+    (zero or not) and opposite coefficients; or c != c'; or the
+    coefficients do not cancel, (1, -2) among them; or the series has
+    stray terms at its top index or anywhere.  Returns the operator, the
+    series and whether the row must vanish."""
+    i0 = draw(st.integers(0, N - 1))
+    j, k, rest = draw(st.permutations(range(N)))
+    # None and a negative truncation one time in eight each
+    truncation = draw(st.integers(-1, 6).map(lambda t: None if t == 6
+                                             else t))
+    kind = draw(st.sampled_from(("vanish", "coordinates", "coefficients",
+                                 "stray")))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(0, 5))
+        b = draw(st.tuples(*(st.integers(0, 1) for _ in range(N))))
+        e = draw(st.integers(-3, 1) if rest == i0 else st.integers(0, 2))
+        coeff = draw(rationals.filter(bool))
+        for s in range(m + 1):
+            a = _plus(_plus(_plus((0,) * N, j, s), k, m - s), rest, e)
+            add_term(terms, (a, b), coeff * comb(m, s))
+    if kind == "stray":
+        top = truncation is not None and draw(st.booleans())
+        for (a, b), coeff in draw(st.dictionaries(
+                st.tuples(st.tuples(*(st.integers(-3, 1) if i == i0
+                                      else st.integers(0, 3)
+                                      for i in range(N))),
+                          st.tuples(*(st.integers(0, 1) for _ in range(N)))),
+                rationals.filter(bool), min_size=1, max_size=3)).items():
+            if top:
+                # move the key to the top index along a non-i0 variable
+                other = k if k != i0 else j
+                lift = truncation - (sum(a) - a[i0])
+                if a[other] + lift < 0:
+                    continue
+                a = _plus(a, other, lift)
+            add_term(terms, (a, b), coeff)
+    target = LaurentSeries(N, i0, terms, truncation)
+    gamma_a = draw(st.tuples(*(st.integers(0, 1) for _ in range(N))))
+    gamma_b = draw(st.tuples(*(st.integers(0, 1) for _ in range(N))))
+    r = draw(st.integers(1, 2))
+    s, t = draw(st.lists(st.integers(0, r), min_size=2, max_size=2,
+                         unique=True))
+    alpha = _plus(_plus(gamma_a, j, s), k, r - s)
+    beta = _plus(_plus(gamma_a, j, t), k, r - t)
+    coord = st.tuples(st.tuples(*(st.integers(0, 2) for _ in range(N))),
+                      st.tuples(*(st.integers(0, 1) for _ in range(N))))
+    first = draw(st.sampled_from([((0,) * N, (0,) * N), draw(coord)]))
+    second = (draw(coord.filter(lambda c: c != first))
+              if kind == "coordinates" else first)
+    coeff = draw(rationals.filter(bool))
+    other = (draw(st.sampled_from([-2 * coeff, draw(rationals.filter(
+        lambda c: c and c != -coeff))])) if kind == "coefficients"
+        else -coeff)
+    op = WeylOperator(N, {(*first, alpha, gamma_b): coeff,
+                          (*second, beta, gamma_b): other})
+    return op, target, kind == "vanish"
+
+
+@settings(battery, max_examples=200)
+@given(binomial_cases())
+# (a0 + a1)^3 cut at index 2: D_{a0} keeps 3 a1^2, which a2 lifts past the
+# residual's order, and D_{a1} lost it with a1^3
+@example((WeylOperator(3, {((0, 0, 1), (0, 0, 0), (1, 0, 0), (0, 0, 0)): 1,
+                           ((0, 0, 1), (0, 0, 0), (0, 1, 0), (0, 0, 0)): -1}),
+          LaurentSeries(3, 0, {((3, 0, 0), (0, 0, 0)): 1,
+                               ((2, 1, 0), (0, 0, 0)): 3,
+                               ((1, 2, 0), (0, 0, 0)): 3,
+                               ((0, 3, 0), (0, 0, 0)): 1}, 2), True))
+@example((WeylOperator(3, {((0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 0, 0)): 1,
+                           ((0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)): -2}),
+          LaurentSeries(3, 2, {((1, 0, -1), (0, 0, 0)): 1,
+                               ((0, 1, -1), (0, 0, 0)): 1}, 3), False))
+def test_binomial_rows_match_accumulating_loop(case):
+    """A binomial row equals the accumulating loop and the pair kernel; one
+    that must vanish is settled by one comparison."""
+    op, target, vanishes = case
+    table, passes = counting_table(target, [op])
+    if vanishes:
+        fast = assert_settled_by_comparison(op, target, table, passes)
+    else:
+        fast = apply_operator(op, target, table)
+    assert_same_series(fast, ref_table_residual(
+        op, target, DerivativeTable(target, [op])))
+    assert_same_series(fast, ref_apply_operator(op, target))
+    assert_same_series(apply_operator(op, target), fast)
+
+
+EMPTY_SERIES = [LaurentSeries.zero(N, 0), LaurentSeries.zero(N, 1, 3),
+                LaurentSeries.zero(N, 2, -2),
+                LaurentSeries(N, 1, {((1, 0, 2), (0, 1, 0)): 3}, -1)]
+
+
+@battery
+@given(apply_cases(min_size=1), st.sampled_from(EMPTY_SERIES))
+def test_empty_and_negatively_truncated_series_match_accumulating_loop(
+        case, empty):
+    """On a series with no terms, the truncation None, positive or
+    negative, every operator leaves an empty residual at the loop's
+    truncation."""
+    op, target = case
+    assert empty.is_zero()
+    for series in (empty, target):
+        fast = apply_operator(op, series)
+        assert_same_series(fast, ref_table_residual(
+            op, series, DerivativeTable(series, [op])))
+    assert apply_operator(op, empty).is_zero()
+
+
+def test_binomial_and_empty_rows_refuse_what_the_loop_refuses():
+    """A foreign table, a coordinate power past the slots and D_{a_{i0}}
+    past the offset raise for binomial rows and on empty series, where the
+    loop raised, before any comparison."""
+    spec = build_projective_model(1)
+    i0 = spec.i0
+    unit = [multiset(3, (i,)) for i in range(3)]
+    zero = (0,) * 3
+    other = next(i for i in range(3) if i != i0)
+    for target in (period_series(spec, 6), LaurentSeries.zero(3, i0, 6),
+                   LaurentSeries.zero(3, i0, -1)):
+        table = DerivativeTable(target, [d_a(3, i0)])
+        past_offset = WeylOperator(3, {
+            (zero, zero, _plus(unit[i0], i0, 1), zero): 1,
+            (zero, zero, _plus(unit[other], other, 1), zero): -1})
+        past_slots = WeylOperator(3, {
+            (_plus(unit[i0], i0, 1), zero, unit[other], zero): 1,
+            (_plus(unit[i0], i0, 1), zero, unit[i0], zero): -1})
+        empty_past_slots = WeylOperator(3, {
+            (_plus(unit[i0], i0, 1), zero, _plus(unit[other], other, 9),
+             zero): 1})
+        for op in (past_offset, past_slots, empty_past_slots):
+            with pytest.raises(OverflowError):
+                ref_table_residual(op, target, table)
+            with pytest.raises(OverflowError):
+                apply_operator(op, target, table)
+        with pytest.raises(ValueError):
+            apply_operator(d_a(3, i0) - d_a(3, other), exact_copy(target),
+                           table)
 
 
 @pytest.mark.parametrize("ordering", ["grlex", "interior-first"])

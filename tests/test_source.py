@@ -322,3 +322,93 @@ def test_hand_made_relation_builds_the_same_operators():
                     == (made.positive, made.negative, made.degree))
             assert toric_operator(spec.n, hand) == toric_operator(spec.n,
                                                                    made)
+
+
+def _methods(tree):
+    """Every function of the module by qualified name, methods under
+    `Class.name`."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, ast.FunctionDef))
+    return out
+
+
+def _settles_empty(node):
+    """`if <a> == <b>: return {}`, a residual settled by a comparison."""
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.ops[0], ast.Eq)
+            and len(node.body) == 1 and isinstance(node.body[0], ast.Return)
+            and isinstance(node.body[0].value, ast.Dict)
+            and not node.body[0].value.keys)
+
+
+def _accumulates(node):
+    """`<map>[<key>] = <...>get(<key>, 0) + <coeff> * <c>`, a product of
+    coefficients summed under a key."""
+    return (isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Add)
+            and isinstance(node.value.left, ast.Call)
+            and getattr(node.value.left.func, "id",
+                        getattr(node.value.left.func, "attr", None)) == "get"
+            and isinstance(node.value.right, ast.BinOp)
+            and isinstance(node.value.right.op, ast.Mult))
+
+
+def test_residuals_are_summed_only_behind_apply_operator():
+    """A residual is summed, or a binomial row settled by comparing its two
+    derivatives, only in `DerivativeTable.apply`, which only
+    `apply_operator` calls; the packed derivatives are read only there.
+    `verify_annihilation` reaches residuals through `apply_operator`, once
+    per operator, so the layer perfbench traces per family sees them all."""
+    found, calls = [], {}
+    for path in SOURCES:
+        for name, func in _methods(_parse(path)).items():
+            for node in ast.walk(func):
+                if _settles_empty(node) or _accumulates(node):
+                    found.append(f"{path.stem}.{name}")
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("apply", "derivative",
+                                               "_shift", "_below")):
+                    calls.setdefault(node.func.attr, set()).add(
+                        f"{path.stem}.{name}")
+    apply = "weyl.DerivativeTable.apply"
+    assert found == [apply, apply]
+    assert calls == {"apply": {"weyl.apply_operator"},
+                     "derivative": {"weyl.DerivativeTable.derivative", apply},
+                     "_shift": {apply}, "_below": {apply}}
+    periods = _methods(_parse(next(path for path in SOURCES
+                                   if path.name == "periods.py")))
+    verify = periods["verify_annihilation"]
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(verify) if isinstance(node, ast.Call)]
+    assert called.count("apply_operator") == 1
+    loop = next(node for node in ast.walk(verify)
+                if isinstance(node, ast.For))
+    assert loop.iter.func.attr == "labelled"
+    assert "apply_operator" in [getattr(node.func, "id", None)
+                                for node in ast.walk(loop)
+                                if isinstance(node, ast.Call)]
+
+
+def test_series_are_cut_in_one_helper():
+    """`_raw_series` wraps a term map with no scan; the truncation cut is
+    `series._cut_series`, which only `_like` and `pruned_to` call, since
+    only sums, scalars added and a lowered truncation can reach past it."""
+    callers = {}
+    for path in SOURCES:
+        tree = _parse(path)
+        names = set(_callers(tree, "_cut_series"))
+        if names:
+            callers[path.stem] = names
+        if path.name == "series.py":
+            raw = _methods(tree)["_raw_series"]
+            assert not [node for node in ast.walk(raw)
+                        if isinstance(node, (ast.For, ast.comprehension))]
+    assert callers == {"series": {"_like", "pruned_to"}}
