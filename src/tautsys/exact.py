@@ -208,6 +208,7 @@ class SparsePoly(TermMap):
                  terms: Mapping[Sequence[int], int | str | Rat] | None = None):
         if family not in KNOWN_FAMILIES:
             raise FamilyError(f"unknown variable family {family!r}")
+        arity = operator.index(arity)  # a float raises; True becomes 1
         if arity < 1:
             raise ValueError("arity must be positive")
         signed = range(arity) if family in LAURENT_FAMILIES else ()

@@ -2,9 +2,9 @@
 
 For X = P^d with the anticanonical bundle O(d+1), the section space is
 spanned by all degree-(d+1) monomials in x_0..x_d.  This module builds the
-monomial basis and its exponent matrix, enumerates integer relations among
-the exponent columns (sources of the toric operators), and realizes the
-gl(d+1) action on the basis.
+monomial basis, enumerates integer relations among the exponent columns
+(sources of the toric operators), and realizes the gl(d+1) action on the
+basis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
+from operator import index, sub
 
 from .exact import Rat, exponents, multiset
 
@@ -59,6 +59,8 @@ class ModelSpec:
     ordering: str
 
     def __post_init__(self):
+        for name in ("d", "n", "i0"):  # a float raises; True becomes 1
+            object.__setattr__(self, name, index(getattr(self, name)))
         degree = self.d + 1
         if len(self.basis) != self.n:
             raise ValueError("basis size does not match n")
@@ -67,7 +69,7 @@ class ModelSpec:
                 raise ValueError(f"bad basis exponent {exp}")
         if len(set(self.basis)) != self.n:
             raise ValueError("basis monomials must be pairwise distinct")
-        if self.basis[self.i0] != (1,) * (self.d + 1):
+        if not 0 <= self.i0 < self.n or self.basis[self.i0] != (1,) * degree:
             raise ValueError("i0 must point at the interior monomial")
         object.__setattr__(
             self, "_position",
@@ -75,12 +77,6 @@ class ModelSpec:
 
     def index_of(self, exponent: tuple[int, ...]) -> int:
         return self._position[tuple(exponent)]
-
-    def exponent_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """(d+1) x n integer matrix whose columns are the basis exponents."""
-        return tuple(
-            tuple(self.basis[j][row] for j in range(self.n))
-            for row in range(self.d + 1))
 
 
 def build_projective_model(d: int, ordering: str = "grlex") -> ModelSpec:
@@ -158,12 +154,6 @@ class LatticeRelation:
     @property
     def degree(self) -> int:
         return sum(self.positive)
-
-    def holds_for(self, spec: ModelSpec) -> bool:
-        matrix = spec.exponent_matrix()
-        return all(
-            sum(row[j] * self.vector[j] for j in range(spec.n)) == 0
-            for row in matrix)
 
 
 def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelation]:

@@ -8,7 +8,8 @@ the torus,
 
 where CT extracts the constant term in the torus coordinates.  Every
 coefficient is an exact multinomial count, so the series is computed and
-verified with no rounding at any point.
+verified with no rounding at any point.  Its derivative data is read from
+the one derivative kernel, `series._derive_into`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
-from operator import add, sub
 
-from .exact import Rat, SparsePoly, add_term, exponents, multiset
+from .exact import Rat, SparsePoly, exponents, multiset
 from .model import ModelSpec
-from .series import LaurentSeries, _raw_series, min_truncation
+from .series import (LaurentSeries, _derivative, _derive_into, _raw_series,
+                     _truncation, min_truncation)
 from .systems import DiffSystem, VectorSolution, _component_key, _orderings
 from .weyl import DerivativeTable, apply_operator
 
@@ -89,61 +90,6 @@ def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
     return _raw_series(n, i0, terms, order)
 
 
-def _derive_into(base: LaurentSeries, combo: tuple[int, ...],
-                 target: int | None, terms: dict, weight: int = 1,
-                 lift: bool = False) -> None:
-    """Add `weight` times the derivative of `base` by the index multiset
-    `combo` into `terms`, in one falling-factorial pass.
-
-    A term c a^e b^f goes to c * weight * prod_k (e_k)(e_k - 1)..(e_k - K_k
-    + 1) at a^(e - K), where K counts the indices of `combo`; the factor
-    holds for a negative e_{i0} too, and a term whose factor vanishes is
-    dropped.  With `lift` the image also gains b^K, the generating series'
-    b-monomial.  Terms past expansion index `target` are cut as they go.
-    """
-    n, i0 = base.n, base.i0
-    shift = multiset(n, combo)
-    # the j-th repeat of index k contributes the factor e_k - j
-    steps = [(k, combo[:at].count(k)) for at, k in enumerate(combo)]
-    # a derivative by a non-distinguished variable lowers the expansion
-    # index by one; only a base reaching past target + drop needs the cut
-    drop = len(combo) - shift[i0]
-    cut = target is not None and (base.truncation is None
-                                  or base.truncation > target + drop)
-    lifted: dict = {}
-    for (a, b), coeff in base.terms.items():
-        factor = weight
-        for k, j in steps:
-            factor *= a[k] - j
-        if not factor or cut and sum(a) - a[i0] - drop > target:
-            continue
-        if lift:
-            b_key = lifted.get(b)
-            if b_key is None:
-                b_key = lifted[b] = tuple(map(add, b, shift))
-        else:
-            b_key = b
-        add_term(terms, (tuple(map(sub, a, shift)), b_key), coeff * factor)
-
-
-def _truncation(base: LaurentSeries, combo: tuple[int, ...]) -> int | None:
-    """Truncation of the derivative by `combo`: one lower per index other
-    than the distinguished one."""
-    if base.truncation is None:
-        return None
-    return base.truncation - len(combo) + combo.count(base.i0)
-
-
-def _derivative(base: LaurentSeries, combo: tuple[int, ...],
-                truncation: int | None = None) -> LaurentSeries:
-    """The derivative of `base` by the index multiset `combo`, cut at
-    `truncation` when that is lower than its own."""
-    truncation = min_truncation(_truncation(base, combo), truncation)
-    terms: dict = {}
-    _derive_into(base, combo, truncation, terms)
-    return _raw_series(base.n, base.i0, terms, truncation)
-
-
 def derivative_generating_series(base: LaurentSeries, p: int,
                                  order: int) -> LaurentSeries:
     """Generating function of the p-fold derivatives, contracted with b.
@@ -186,9 +132,6 @@ class PeriodFamily:
             self._derivatives[alpha] = _derivative(self.base, tuple(
                 i for i, count in enumerate(alpha) for _ in range(count)))
         return self._derivatives[alpha]
-
-    def generating_series(self, p: int, order: int) -> LaurentSeries:
-        return derivative_generating_series(self.base, p, order)
 
 
 def derivative_vector_solution(base: LaurentSeries, p: int) -> VectorSolution:

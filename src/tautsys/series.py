@@ -10,15 +10,18 @@ The *expansion index* of a term is its total degree in the non-distinguished
 a-variables.  `truncation` is the largest expansion index guaranteed to be
 complete and exact: terms beyond it are discarded rather than stored as
 unverified zeros.  `truncation=None` marks a series that is exact at every
-order (for instance, a Laurent polynomial).
+order (for instance, a Laurent polynomial).  Every derivative is one pass
+of the falling-factorial kernel `_derive_into`, which `derivative_a` and
+the derivative data of `tautsys.periods` read.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from operator import add, index, sub
+from typing import Mapping
 
 from .exact import (FamilyError, Rat, SparsePoly, TermMap, add_term, as_rat,
-                    exponents, grlex_key)
+                    exponents, grlex_key, multiset)
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -30,6 +33,8 @@ class LaurentSeries(TermMap):
     def __init__(self, n: int, i0: int,
                  terms: Mapping[TermKey, int | str | Rat] | None = None,
                  truncation: int | None = None):
+        n, i0 = index(n), index(i0)  # a float raises; True becomes 1
+        truncation = None if truncation is None else index(truncation)
         if not 0 <= i0 < n:
             raise ValueError(f"distinguished index {i0} out of range for n={n}")
         canonical: dict[TermKey, Rat] = {}
@@ -67,18 +72,23 @@ class LaurentSeries(TermMap):
         return cls(n, i0, terms, truncation=None)
 
     def _like(self, terms, *operands):
-        """A sum is exact only up to the lowest truncation of its operands."""
+        """A sum is exact only up to the lowest truncation of its operands
+        and is cut there; with no operands, `terms` (a part or multiple of
+        this series, or a scalar the sum then cuts) are wrapped unscanned."""
+        if not operands:
+            return _raw_series(self.n, self.i0, terms, self.truncation)
         truncation = min_truncation(self.truncation,
                                     *(s.truncation for s in operands))
-        return _cut_series(self.n, self.i0, terms, truncation)
+        if truncation is not None and any(
+                _index(a, self.i0) > truncation for a, _ in terms):
+            terms = {key: c for key, c in terms.items()
+                     if _index(key[0], self.i0) <= truncation}
+        return _raw_series(self.n, self.i0, terms, truncation)
 
     def _constant_key(self):
         return ((0,) * self.n,) * 2
 
     # -- structure ----------------------------------------------------------
-
-    def index_of(self, a_exp: Sequence[int]) -> int:
-        return _index(tuple(a_exp), self.i0)
 
     def sorted_terms(self) -> list[tuple[TermKey, Rat]]:
         return sorted(
@@ -98,40 +108,16 @@ class LaurentSeries(TermMap):
             raise ValueError(f"mixed b-degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def is_a_homogeneous(self, degree: int) -> bool:
-        return all(sum(a) == degree for a, _ in self.terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     # in the class dict so that perfbench/spans.py can wrap series addition
     __add__ = TermMap.__add__
 
     def derivative_a(self, index: int) -> "LaurentSeries":
-        """Termwise d/da_index.
-
-        The truncation frontier drops by one unless the distinguished
-        variable is differentiated, which leaves expansion indices alone.
-        """
+        """Termwise d/da_index, one pass of the derivative kernel."""
         if not 0 <= index < self.n:
             raise ValueError(f"index {index} out of range")
-        out: dict[TermKey, Rat] = {}
-        for (a_exp, b_exp), coeff in self.terms.items():
-            e = a_exp[index]
-            if e == 0:
-                continue
-            new_a = a_exp[:index] + (e - 1,) + a_exp[index + 1:]
-            add_term(out, (new_a, b_exp), coeff * e)
-        trunc = self.truncation
-        if trunc is not None and index != self.i0:
-            trunc -= 1
-        return _raw_series(self.n, self.i0, out, trunc)
-
-    def mul_b_monomial(self, b_exp: Sequence[int]) -> "LaurentSeries":
-        shift = exponents(b_exp, self.n)
-        out = {
-            (a, tuple(u + v for u, v in zip(b, shift))): c
-            for (a, b), c in self.terms.items()}
-        return self._like(out)
+        return _derivative(self, (index,))
 
     def b_parts(self) -> dict[tuple[int, ...], "LaurentSeries"]:
         """The series multiplying each b-monomial that occurs, by its
@@ -145,45 +131,9 @@ class LaurentSeries(TermMap):
             part[(a, zero_exp)] = c
         return {b: self._like(part) for b, part in parts.items()}
 
-    def b_coefficient(self, b_exp: Sequence[int]) -> "LaurentSeries":
-        """Series multiplying the given b-monomial (b-part of the keys zeroed)."""
-        part = self.b_parts().get(exponents(b_exp, self.n))
-        return self._like({}) if part is None else part
-
-    def substitute_b(self, point: Sequence[int | Rat]) -> "LaurentSeries":
-        """Specialize the b-variables at an exact rational point."""
-        coords = [as_rat(v) for v in point]
-        if len(coords) != self.n:
-            raise ValueError("point length does not match n")
-        zero_exp = (0,) * self.n
-        out: dict[TermKey, Rat] = {}
-        for (a_exp, b_exp), coeff in self.terms.items():
-            factor = coeff
-            for value, e in zip(coords, b_exp):
-                if e:
-                    factor *= value ** e
-            add_term(out, (a_exp, zero_exp), factor)
-        return self._like(out)
-
-    def pruned_to(self, truncation: int | None) -> "LaurentSeries":
-        return _cut_series(self.n, self.i0, self.terms,
-                           min_truncation(self.truncation, truncation))
-
     def __repr__(self):
         return (f"LaurentSeries(n={self.n}, i0={self.i0}, "
                 f"terms={len(self.terms)}, truncation={self.truncation})")
-
-
-def _cut_series(n: int, i0: int, terms: dict[TermKey, Rat],
-                truncation: int | None) -> LaurentSeries:
-    """`_raw_series` of the canonical `terms` less those past `truncation`:
-    a sum may hold terms of operands exact to a higher order, a scalar adds
-    at index 0 whatever the truncation, and `pruned_to` lowers it."""
-    if truncation is not None and any(
-            _index(a, i0) > truncation for a, _ in terms):
-        terms = {key: c for key, c in terms.items()
-                 if _index(key[0], i0) <= truncation}
-    return _raw_series(n, i0, terms, truncation)
 
 
 def _raw_series(n: int, i0: int, terms: dict[TermKey, Rat],
@@ -192,11 +142,66 @@ def _raw_series(n: int, i0: int, terms: dict[TermKey, Rat],
 
     The caller guarantees valid keys, nonzero coefficients and no key past
     the truncation; outside input goes through the validating constructor
-    instead, and term maps that may reach past it through `_cut_series`.
+    instead, and sums that may reach past it through `LaurentSeries._like`.
     """
     out = LaurentSeries.__new__(LaurentSeries)
     out.n, out.i0, out.terms, out.truncation = n, i0, terms, truncation
     return out
+
+
+def _derive_into(base: LaurentSeries, combo: tuple[int, ...],
+                 target: int | None, terms: dict, weight: int = 1,
+                 lift: bool = False) -> None:
+    """Add `weight` times the derivative of `base` by the index multiset
+    `combo` into `terms`, in one falling-factorial pass.
+
+    A term c a^e b^f goes to c * weight * prod_k (e_k)(e_k - 1)..(e_k - K_k
+    + 1) at a^(e - K), where K counts the indices of `combo`; the factor
+    holds for a negative e_{i0} too, and a term whose factor vanishes is
+    dropped.  With `lift` the image also gains b^K, the generating series'
+    b-monomial.  Terms past expansion index `target` are cut as they go.
+    """
+    n, i0 = base.n, base.i0
+    shift = multiset(n, combo)
+    # the j-th repeat of index k contributes the factor e_k - j
+    steps = [(k, combo[:at].count(k)) for at, k in enumerate(combo)]
+    # a derivative by a non-distinguished variable lowers the expansion
+    # index by one; only a base reaching past target + drop needs the cut
+    drop = len(combo) - shift[i0]
+    cut = target is not None and (base.truncation is None
+                                  or base.truncation > target + drop)
+    lifted: dict = {}
+    for (a, b), coeff in base.terms.items():
+        factor = weight
+        for k, j in steps:
+            factor *= a[k] - j
+        if not factor or cut and sum(a) - a[i0] - drop > target:
+            continue
+        if lift:
+            b_key = lifted.get(b)
+            if b_key is None:
+                b_key = lifted[b] = tuple(map(add, b, shift))
+        else:
+            b_key = b
+        add_term(terms, (tuple(map(sub, a, shift)), b_key), coeff * factor)
+
+
+def _truncation(base: LaurentSeries, combo: tuple[int, ...]) -> int | None:
+    """Truncation of the derivative by `combo`: one lower per index other
+    than the distinguished one."""
+    if base.truncation is None:
+        return None
+    return base.truncation - len(combo) + combo.count(base.i0)
+
+
+def _derivative(base: LaurentSeries, combo: tuple[int, ...],
+                truncation: int | None = None) -> LaurentSeries:
+    """The derivative of `base` by the index multiset `combo`, cut at
+    `truncation` when that is lower than its own."""
+    truncation = min_truncation(_truncation(base, combo), truncation)
+    terms: dict = {}
+    _derive_into(base, combo, truncation, terms)
+    return _raw_series(base.n, base.i0, terms, truncation)
 
 
 def _index(a_exp: tuple[int, ...], i0: int) -> int:

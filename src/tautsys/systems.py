@@ -270,17 +270,17 @@ def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
         for key in keys:
             equations.append(VectorEquation(f"{label}@{key}", ((key, toric),)))
     for gk, gl in _generator_indices(spec.d):
-        matrix = symmetry_matrix(spec, gk, gl)
+        consts = {entry: _raw_operator(n, {((0,) * n,) * 4: value})
+                  for entry, value in _symmetry_entries(spec, gk, gl).items()}
         sym = symmetry_operator(spec, gk, gl)
         for slot, key in zip(slots, keys):
             # D_k Z = Z D_k + sum_j matrix[k][j] D_j, once per slot
             parts: list[tuple[ComponentKey, WeylOperator]] = [(key, sym)]
             for j in range(n):
                 for s, k in enumerate(slot):
-                    if matrix[k][j]:
+                    if (k, j) in consts:
                         moved = _component_key(slot[:s] + (j,) + slot[s + 1:])
-                        parts.append(
-                            (moved, WeylOperator.const(n, matrix[k][j])))
+                        parts.append((moved, consts[k, j]))
             equations.append(VectorEquation(
                 f"symmetry[{gk},{gl}]@{key}", tuple(parts)))
     grading = euler_a(n) + (1 + p)

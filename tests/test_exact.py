@@ -10,7 +10,7 @@ from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, PoleError,
                            Solution, SparsePoly, add_term, replay_witness,
                            solve_exact)
 from tautsys.membership import derivative_query
-from tautsys.model import LatticeRelation, build_projective_model
+from tautsys.model import LatticeRelation, ModelSpec, build_projective_model
 from tautsys.periods import PeriodFamily
 from tautsys.series import LaurentSeries
 from tautsys.weyl import WeylOperator
@@ -70,7 +70,6 @@ def test_negative_exponent_only_in_a_family():
 
 LINE = build_projective_model(1)
 ZERO = (0, 0, 0)
-SERIES = LaurentSeries(3, 1, {((0, -1, 0), (1, 0, 0)): 1})
 
 # entry point taking one length-3 exponent tuple, and the positions where
 # it admits a negative entry
@@ -79,8 +78,6 @@ EXPONENT_ENTRY_POINTS = {
     "a polynomial": (lambda e: SparsePoly("a", 3, {e: 1}), (0, 1, 2)),
     "series a-key": (lambda e: LaurentSeries(3, 1, {(e, ZERO): 1}), (1,)),
     "series b-key": (lambda e: LaurentSeries(3, 1, {(ZERO, e): 1}), ()),
-    "mul_b_monomial": (SERIES.mul_b_monomial, ()),
-    "b_coefficient": (SERIES.b_coefficient, ()),
     **{f"operator part {part}": (
         lambda e, part=part: WeylOperator(
             3, {tuple(e if i == part else ZERO for i in range(4)): 1}), ())
@@ -110,6 +107,37 @@ def test_every_exponent_tuple_is_checked_alike(entry):
         else:
             with pytest.raises(FamilyError):
                 make(exponent)
+
+
+def _model(**fields):
+    return ModelSpec(**{"d": 1, "n": 3, "basis": LINE.basis, "i0": LINE.i0,
+                        "ordering": LINE.ordering, **fields})
+
+
+# entry point taking one shape field that 1 fits, and the field it stores
+SHAPE_ENTRY_POINTS = {
+    "series n": (lambda v: LaurentSeries(v, 0), "n"),
+    "series i0": (lambda v: LaurentSeries(3, v), "i0"),
+    "series truncation": (lambda v: LaurentSeries(3, 0, {}, v), "truncation"),
+    "polynomial arity": (lambda v: SparsePoly("x", v), "arity"),
+    "model d": (lambda v: _model(d=v), "d"),
+    "model n": (lambda v: _model(n=v, basis=((1, 1),), i0=0), "n"),
+    "model i0": (lambda v: _model(i0=v), "i0"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SHAPE_ENTRY_POINTS))
+def test_shape_fields_are_ints(entry):
+    """A shape field goes through `operator.index`, as `WeylOperator.n`
+    does: a float or a Fraction is refused, not kept to fail later or to
+    reach JSON, and `True` is stored as the int 1."""
+    make, field = SHAPE_ENTRY_POINTS[entry]
+    assert getattr(make(1), field) == 1
+    for wrong in (1.0, Fraction(1)):
+        with pytest.raises(TypeError):
+            make(wrong)
+    stored = getattr(make(True), field)
+    assert type(stored) is int and stored == 1
 
 
 def test_lattice_relation_vector_is_made_of_ints():

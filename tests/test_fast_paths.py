@@ -15,10 +15,12 @@ battery of operators with fractional coefficients.  Period derivatives
 are one falling-factorial pass per index multiset, shared by the permuted
 slots of the vector components; `scalarize` adds every component into one
 term map and `vectorize` splits by b-monomial in one pass.  The memo chain
-of `derivative_a` steps, the per-multiset and per-multi-index chains, the
-per-component contraction and the per-slot scans are the references, on
-every period series of a grid and on a seeded battery of series carrying
-b-terms, Fraction, int and mixed coefficients and truncation None.
+of one-step derivatives (`handcoded.derivative_a`, the loop
+`LaurentSeries.derivative_a` ran before it read the kernel), the
+per-multiset and per-multi-index chains, the per-component contraction and
+the per-slot scans are the references, on every period series of a grid
+and on a seeded battery of series carrying b-terms, Fraction, int and mixed
+coefficients and truncation None.
 `TermMap.plus` sums any number of maps in one pass; the left fold of `+` is
 its reference, and a scalar operand is a one-term series at the zero key.
 `apply_operator` reads packed derivatives from a table shared by the
@@ -56,6 +58,8 @@ from math import comb, lcm
 from operator import add
 
 import pytest
+from handcoded import (b_coefficient, derivative_a, expansion_index,
+                       mul_b_monomial, pruned_to)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -127,7 +131,7 @@ def assert_canonical(series):
     assert series == again
     assert all(series.terms.values())
     if series.truncation is not None:
-        assert all(series.index_of(a) <= series.truncation
+        assert all(expansion_index(a, series.i0) <= series.truncation
                    for a, _ in series.terms)
 
 
@@ -187,9 +191,10 @@ def test_add_with_unequal_truncations_is_canonical(pair, whole, fraction):
     assert_canonical(left - left)
     assert (left - left).is_zero()
     # a scalar adds at the zero key, cut like any index-0 term when the
-    # truncation is negative
+    # truncation is negative, and kept when it is None
     zero = ((0,) * N,) * 2
-    for s in (left, right.pruned_to(-1)):
+    for s in (left, pruned_to(right, -1),
+              _raw_series(N, left.i0, left.terms, None)):
         for c in (whole, fraction):
             constant = LaurentSeries(N, s.i0, {zero: c}, s.truncation)
             for result, expected in ((s + c, s.plus(constant)),
@@ -199,43 +204,6 @@ def test_add_with_unequal_truncations_is_canonical(pair, whole, fraction):
                 assert_canonical(result)
                 assert result.truncation == s.truncation
                 assert result == expected
-
-
-@battery
-@given(series(), st.integers(0, N - 1))
-def test_derivative_is_canonical_at_and_away_from_i0(s, index):
-    derived = s.derivative_a(index)
-    assert_canonical(derived)
-    assert_canonical(s.derivative_a(s.i0))
-
-
-@battery
-@given(series(), st.lists(rationals, min_size=N, max_size=N))
-def test_substitute_b_is_canonical(s, point):
-    assert_canonical(s.substitute_b(point))
-
-
-@battery
-@given(series(), st.integers(0, N - 1), st.integers(0, N - 1), rationals)
-def test_substitute_b_drops_cancelled_terms(s, k, l, value):
-    assume(k != l)
-    unit_k = [1 if i == k else 0 for i in range(N)]
-    unit_l = [1 if i == l else 0 for i in range(N)]
-    difference = s.mul_b_monomial(unit_k) - s.mul_b_monomial(unit_l)
-    assert_canonical(difference)
-    point = [Fraction(1)] * N
-    point[k] = point[l] = value
-    cancelled = difference.substitute_b(point)
-    assert_canonical(cancelled)
-    assert cancelled.is_zero()
-
-
-@battery
-@given(series(), truncations)
-def test_pruned_and_sliced_series_are_canonical(s, truncation):
-    assert_canonical(s.pruned_to(truncation))
-    for b_exp in {b for _, b in s.terms}:
-        assert_canonical(s.b_coefficient(b_exp))
 
 
 @st.composite
@@ -409,7 +377,7 @@ def ref_scalarize(solution):
         exponent = [0] * n
         for i in ((key,) if solution.p == 1 else key):
             exponent[i] += 1
-        piece = series.mul_b_monomial(exponent)
+        piece = mul_b_monomial(series, exponent)
         total = piece if total is None else total + piece
     return total
 
@@ -418,12 +386,12 @@ def ref_vectorize(series, p):
     n = series.n
     unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     if p == 1:
-        return {k: series.b_coefficient(unit[k]) for k in range(n)}
+        return {k: b_coefficient(series, unit[k]) for k in range(n)}
     out = {}
     for l in range(n):
         for k in range(n):
-            coefficient = series.b_coefficient(
-                [u + v for u, v in zip(unit[l], unit[k])])
+            coefficient = b_coefficient(
+                series, [u + v for u, v in zip(unit[l], unit[k])])
             out[(l, k)] = (coefficient if l == k
                            else coefficient.scale(Fraction(1, 2)))
     return out
@@ -432,8 +400,8 @@ def ref_vectorize(series, p):
 def ref_derivative_components(base, p):
     n = base.n
     if p == 1:
-        return {k: base.derivative_a(k) for k in range(n)}
-    return {(l, k): base.derivative_a(l).derivative_a(k)
+        return {k: derivative_a(base, k) for k in range(n)}
+    return {(l, k): derivative_a(derivative_a(base, l), k)
             for l in range(n) for k in range(n)}
 
 
@@ -466,6 +434,10 @@ def test_system_builders_match_operator_arithmetic_references(
             keys, rows = ref_vector_system(spec, rels, p)
             assert (system.p, system.keys) == (p, keys)
             assert [(eq.label, eq.parts) for eq in system.equations] == rows
+            assert all(type(c) is int
+                       for eq in system.equations
+                       if eq.label.startswith("symmetry")
+                       for _, op in eq.parts for c in op.terms.values())
 
 
 @pytest.mark.parametrize("d,order", [(1, 10), (2, 5), (3, 3)])
@@ -476,7 +448,7 @@ def test_component_maps_match_per_p_references(d, order):
         solution = derivative_vector_solution(base, p)
         reference = ref_derivative_components(base, p)
         common = min(s.truncation for s in reference.values())
-        reference = {k: s.pruned_to(common) for k, s in reference.items()}
+        reference = {k: pruned_to(s, common) for k, s in reference.items()}
         assert list(solution.components) == list(reference)
         assert solution.components == reference
         phi = scalarize(solution)
@@ -675,11 +647,11 @@ def ref_generating_series(base, p, order):
     for combo in combinations_with_replacement(range(n), p):
         derived = base
         for i in combo:
-            derived = derived.derivative_a(i)
+            derived = derivative_a(derived, i)
         b_exp = multiset(n, combo)
-        piece = derived.scale(_orderings(b_exp)).mul_b_monomial(b_exp)
+        piece = mul_b_monomial(derived.scale(_orderings(b_exp)), b_exp)
         total = piece if total is None else total + piece
-    return total.pruned_to(order)
+    return pruned_to(total, order)
 
 
 def ref_derivative(base, alpha):
@@ -687,7 +659,7 @@ def ref_derivative(base, alpha):
     derived = base
     for i, count in enumerate(alpha):
         for _ in range(count):
-            derived = derived.derivative_a(i)
+            derived = derivative_a(derived, i)
     return derived
 
 
@@ -737,11 +709,11 @@ def test_period_family_derivatives_match_chains(d, order, ordering):
 
 def ref_memo_derivative(table, combo):
     """Derivative of `table[()]` by the sorted index tuple `combo`, one
-    `derivative_a` past each memoized prefix."""
+    `derivative_a` step past each memoized prefix."""
     for stop in range(1, len(combo) + 1):
         if combo[:stop] not in table:
-            table[combo[:stop]] = table[combo[:stop - 1]].derivative_a(
-                combo[stop - 1])
+            table[combo[:stop]] = derivative_a(table[combo[:stop - 1]],
+                                               combo[stop - 1])
     return table[combo]
 
 
@@ -751,9 +723,10 @@ def ref_memo_generating_series(base, p, order):
     pieces = []
     for combo in combinations_with_replacement(range(n), p):
         b_exp = multiset(n, combo)
-        pieces.append(ref_memo_derivative(table, combo)
-                      .scale(_orderings(b_exp)).mul_b_monomial(b_exp))
-    return pieces[0].plus(*pieces[1:]).pruned_to(order)
+        pieces.append(mul_b_monomial(
+            ref_memo_derivative(table, combo).scale(_orderings(b_exp)),
+            b_exp))
+    return pruned_to(pieces[0].plus(*pieces[1:]), order)
 
 
 def ref_memo_family_derivative(table, alpha):
@@ -769,12 +742,13 @@ def ref_memo_vector_solution(base, p):
     common = min((s.truncation for s in components.values()
                   if s.truncation is not None), default=None)
     return VectorSolution(n=base.n, p=p, components={
-        key: s.pruned_to(common) for key, s in components.items()})
+        key: pruned_to(s, common) for key, s in components.items()})
 
 
 def ref_piecewise_scalarize(solution):
-    pieces = [series.mul_b_monomial(
-                  multiset(solution.n, key if solution.p > 1 else (key,)))
+    pieces = [mul_b_monomial(
+                  series, multiset(solution.n,
+                                   key if solution.p > 1 else (key,)))
               for key, series in solution.components.items()]
     return pieces[0].plus(*pieces[1:])
 
@@ -902,8 +876,38 @@ def colliding_series(draw):
             moved[key] = (Fraction(-c * a[k], a[l] + 1) if cancel
                           else draw(rationals.filter(bool)))
     unit_k, unit_l = multiset(N, (k,)), multiset(N, (l,))
-    return s.mul_b_monomial(unit_l).plus(
-        LaurentSeries(N, s.i0, moved, s.truncation).mul_b_monomial(unit_k))
+    return mul_b_monomial(s, unit_l).plus(mul_b_monomial(
+        LaurentSeries(N, s.i0, moved, s.truncation), unit_k))
+
+
+@battery
+@given(derivable_series(), st.integers(0, N - 1), st.integers(-3, 0))
+def test_derivative_is_canonical_at_and_away_from_i0(s, index, lower):
+    """`derivative_a` is one call of the falling-factorial kernel; the
+    one-step loop it replaced is the reference at i0 and away from it, on
+    truncation None and on the series cut below zero."""
+    for source in (s, pruned_to(s, lower)):
+        for i in (index, source.i0):
+            derived = source.derivative_a(i)
+            assert_canonical(derived)
+            assert_same_series(derived, derivative_a(source, i))
+
+
+@battery
+@given(derivable_series(), st.one_of(st.none(), st.integers(-3, 5)),
+       rationals)
+def test_pruned_and_sliced_series_are_canonical(s, truncation, value):
+    """`scale` and `b_parts` wrap their results with no scan for the cut,
+    since neither can reach past the truncation, None and negative ones
+    included; each part is the one-scan slice by its b-monomial."""
+    for source in (s, pruned_to(s, truncation)):
+        for c in (value, 3, 0):
+            assert_canonical(source.scale(c))
+        parts = source.b_parts()
+        assert set(parts) == {b for _, b in source.terms}
+        for b_exp, part in parts.items():
+            assert_canonical(part)
+            assert_same_series(part, b_coefficient(source, b_exp))
 
 
 ZERO_SERIES = [LaurentSeries.zero(N, 1), LaurentSeries.zero(N, 0, 3)]
@@ -1057,7 +1061,7 @@ def ref_apply_operator(op, target):
                 tuple(q - g + c for q, g, c in zip(b_exp, d2, c2)),
             )
             add_term(out, key, oc * sc * factor)
-    return _raw_series(target.n, target.i0, out, None).pruned_to(truncation)
+    return pruned_to(_raw_series(target.n, target.i0, out, None), truncation)
 
 
 def exact_copy(series):
@@ -1100,7 +1104,7 @@ def test_apply_operator_matches_pair_kernel_on_systems(d, bounds, orders,
             for (label, op), entry in zip(system.labelled(), report.entries):
                 assert entry.label == label and op == operators[label]
                 cut = data.truncation + index_shift(op, spec.i0)
-                assert_same_series(entry.residual, full[label].pruned_to(cut))
+                assert_same_series(entry.residual, pruned_to(full[label], cut))
 
 
 @st.composite

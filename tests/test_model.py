@@ -3,8 +3,9 @@
 from math import comb
 
 import pytest
+from handcoded import exponent_matrix
 
-from tautsys.model import (LatticeRelation, ResourceBoundError,
+from tautsys.model import (LatticeRelation, ModelSpec, ResourceBoundError,
                            build_projective_model, fermat_point, lattice_relations,
                            lie_action, monomials_of_degree,
                            multiplication_surjectivity)
@@ -60,10 +61,22 @@ def test_lattice_relation_projective_line():
     assert [r.vector for r in rels3] == [(2, -1, -1)]
 
 
+def test_model_spec_refuses_an_i0_outside_the_basis():
+    """A negative i0 would index the basis from its end."""
+    spec = build_projective_model(1)
+    fields = dict(d=1, n=3, basis=spec.basis, ordering=spec.ordering)
+    assert spec.basis[spec.i0 - 3] == (1, 1)
+    for i0 in (spec.i0 - 3, 3):
+        with pytest.raises(ValueError):
+            ModelSpec(i0=i0, **fields)
+
+
 def test_lattice_relation_exactness():
     spec = build_projective_model(2, ordering="interior-first")
     rels = lattice_relations(spec, 2)
-    assert all(rel.holds_for(spec) for rel in rels)
+    matrix = exponent_matrix(spec)
+    assert all(sum(r * v for r, v in zip(row, rel.vector)) == 0
+               for rel in rels for row in matrix)
     # interior squared equals the product of two boundary monomials
     squares = [rel for rel in rels if rel.vector[0] == 2]
     target = tuple([2] + [0] * 9)
@@ -78,7 +91,7 @@ def test_lattice_relation_exactness():
 def test_lattice_relations_complete_up_to_bound():
     # brute force over the raw integer box as an independent enumeration
     spec = build_projective_model(1, ordering="interior-first")
-    matrix = spec.exponent_matrix()
+    matrix = exponent_matrix(spec)
     found = set()
     bound = 3
     from itertools import product

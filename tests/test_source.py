@@ -88,14 +88,15 @@ def _is_falling_factor(node):
 
 
 def test_period_derivatives_have_one_walk():
-    """Every derivative of the period series is one falling-factorial pass
-    of `periods._derive_into`: the period and system layers call no
-    `derivative_a`, take a falling factor nowhere else, and the generating
-    series, `PeriodFamily.derivative` and the vector components all read
-    the kernel."""
+    """Every derivative of a series is one falling-factorial pass of
+    `series._derive_into`: the series, period and system layers call no
+    `derivative_a`, take a falling factor nowhere else, and
+    `LaurentSeries.derivative_a`, the generating series,
+    `PeriodFamily.derivative` and the vector components all read the
+    kernel."""
     found, factors, callers = [], 0, {}
     for path in SOURCES:
-        if path.name not in ("periods.py", "systems.py"):
+        if path.name not in ("series.py", "periods.py", "systems.py"):
             continue
         tree = _parse(path)
         kernel = _inside(tree, "_derive_into")
@@ -115,11 +116,12 @@ def test_period_derivatives_have_one_walk():
     assert factors == 1
     assert callers == {
         "_derive_into": {"_derivative", "derivative_generating_series"},
-        "_derivative": {"derivative", "derivative_vector_solution"}}
+        "_derivative": {"derivative_a", "derivative",
+                        "derivative_vector_solution"}}
 
 
 def test_b_monomials_split_in_one_place():
-    """`vectorize` and `b_coefficient` read the one split by b-monomial,
+    """`vectorize` reads the one split by b-monomial,
     `LaurentSeries.b_parts`; `scalarize` makes no series per component."""
     calls = {}
     for path in SOURCES:
@@ -133,7 +135,7 @@ def test_b_monomials_split_in_one_place():
                                                "mul_b_monomial")):
                     calls.setdefault(node.func.attr, set()).add(
                         f"{path.stem}.{func.name}")
-    assert calls == {"b_parts": {"series.b_coefficient", "systems.vectorize"}}
+    assert calls == {"b_parts": {"systems.vectorize"}}
 
 
 def _callers(tree, name):
@@ -274,7 +276,7 @@ def test_json_is_written_by_the_one_indent_writer():
 TRUSTED_OPERATOR_CALLERS = {
     "weyl": {"_unit_term", "euler_a", "euler_b"},
     "systems": {"toric_operator", "symmetry_operator", "build_scalar_system",
-                "dual_generator_families"},
+                "build_vector_system", "dual_generator_families"},
 }
 
 
@@ -397,18 +399,29 @@ def test_residuals_are_summed_only_behind_apply_operator():
                                 if isinstance(node, ast.Call)]
 
 
+def _is_cut(node):
+    """`_index(<key>, <i0>) > <truncation>` or `<=`: an expansion index
+    compared with a truncation, the test of a cut."""
+    return (isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "_index"
+            and isinstance(node.ops[0], (ast.Gt, ast.LtE)))
+
+
 def test_series_are_cut_in_one_helper():
-    """`_raw_series` wraps a term map with no scan; the truncation cut is
-    `series._cut_series`, which only `_like` and `pruned_to` call, since
-    only sums, scalars added and a lowered truncation can reach past it."""
-    callers = {}
+    """`_raw_series` wraps a term map with no scan; past the validating
+    constructor, which drops input terms beyond the truncation, a series is
+    cut only in `LaurentSeries._like`, since only sums and scalars added can
+    reach past it."""
+    found = []
     for path in SOURCES:
         tree = _parse(path)
-        names = set(_callers(tree, "_cut_series"))
-        if names:
-            callers[path.stem] = names
+        found += [f"{path.stem}.{name}"
+                  for name, func in _methods(tree).items()
+                  if any(map(_is_cut, ast.walk(func)))]
         if path.name == "series.py":
             raw = _methods(tree)["_raw_series"]
             assert not [node for node in ast.walk(raw)
                         if isinstance(node, (ast.For, ast.comprehension))]
-    assert callers == {"series": {"_like", "pruned_to"}}
+    assert sorted(found) == ["series.LaurentSeries.__init__",
+                             "series.LaurentSeries._like"]

@@ -1,6 +1,7 @@
 """Normal ordering, series action, and the Fourier transform."""
 
 import pytest
+from handcoded import pruned_to
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,4 +195,4 @@ def test_apply_is_a_module_action(a, b, series):
     if direct.truncation is not None:
         common = (direct.truncation if common is None
                   else min(common, direct.truncation))
-    assert chained.pruned_to(common) == direct.pruned_to(common)
+    assert pruned_to(chained, common) == pruned_to(direct, common)
