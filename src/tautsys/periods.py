@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
+from operator import add, index, itemgetter
 
 from .exact import Rat, SparsePoly, exponents, multiset
 from .model import ModelSpec
@@ -27,66 +27,111 @@ from .systems import DiffSystem, VectorSolution, _component_key, _orderings
 from .weyl import DerivativeTable, apply_operator
 
 
+def _half_list(basis, members: list[int], order: int) -> dict:
+    """Every count vector over the basis monomials `members` that uses each
+    row at most `order` times, keyed by its row use A c: each use maps to
+    its (counts, prod c_i!) pairs."""
+    half: dict = {}
+
+    def walk(k: int, use: tuple[int, ...], counts: tuple[int, ...],
+             denominator: int):
+        if k == len(members):
+            half.setdefault(use, []).append((counts, denominator))
+            return
+        exp = basis[members[k]]
+        c = 0
+        while True:
+            walk(k + 1, use, counts + (c,), denominator)
+            use = tuple(map(add, use, exp))
+            if max(use) > order:
+                return
+            c += 1
+            denominator *= c
+
+    walk(0, (0,) * len(basis[0]), (), 1)
+    return half
+
+
 def period_series(spec: ModelSpec, order: int) -> LaurentSeries:
     """Torus-cycle period expansion, exact through expansion index `order`.
 
     Layer j is the fiber A m = j (1, .., 1) of the exponent matrix: counts m
     of the non-distinguished basis monomials whose exponents sum to j times
     the interior monomial.  Each fiber point carries the integer
-    (-1)^j j! / prod m_i! (Gelfand-Kapranov-Zelevinsky).  The walk picks the
-    counts of the mixed monomials depth first; the pure powers x_r^(d+1)
-    then fill what is left of each row, which must be a multiple of d+1, so
-    the work follows the fiber rather than all degree-j products.
+    (-1)^j j! / prod m_i! (Gelfand-Kapranov-Zelevinsky).  The fibers of all
+    layers are met in the middle (Horowitz-Sahni): the mixed monomials,
+    all but the interior one and the pure powers x_r^(d+1), are split into
+    two halves, and each half lists once every count vector whose row use
+    stays at most `order`.  A pair of entries joins when every row's total
+    use u_r is congruent to one residue c mod d+1; the pair is then a fiber
+    point of every layer j = c mod d+1 from max u_r up to `order`, the pure
+    powers filling (j - u_r) / (d+1).  A row with no pure power in the
+    basis takes only the layer j = u_r.  At d = 1 both halves are empty.
     """
+    order = index(order)  # a float raises; True becomes 1
     if order < 0:
         raise ValueError("order must be non-negative")
     n, i0, degree = spec.n, spec.i0, spec.d + 1
     pure: list[int | None] = [None] * degree
-    mixed: list[tuple[int, tuple[int, ...]]] = []
+    mixed: list[int] = []
     for i, exp in enumerate(spec.basis):
         if i == i0:
             continue
         if degree in exp:
             pure[exp.index(degree)] = i
         else:
-            mixed.append((i, exp))
-    # sort by support so that rows settle one after another: once the last
-    # mixed monomial using a row is chosen, that row's remainder is final
-    # and must already be a multiple of d+1
-    mixed.sort(key=lambda item: [not e for e in item[1]])
-    last = [max((k + 1 for k, (_, exp) in enumerate(mixed) if exp[row]),
-                default=0) for row in range(degree)]
-    settled = [[row for row in range(degree) if last[row] == k]
-               for k in range(len(mixed) + 1)]
+            mixed.append(i)
+    # split in descending exponent order, each half leans on the same rows
+    # and its count vectors share fewer row uses: at d = 3 order 7 the
+    # halves list 3941 and 3907 counts, against 11206 and 11199 alternated
+    mixed.sort(key=spec.basis.__getitem__, reverse=True)
+    split = len(mixed) // 2
+    left = _half_list(spec.basis, mixed[:split], order)
+    # right-half uses by residue class: left and right uses join when each
+    # row's total use is congruent to row 0's
+    right: dict = {}
+    for use, entries in _half_list(spec.basis, mixed[split:], order).items():
+        residues = tuple((use[0] - u) % degree for u in use)
+        right.setdefault(residues, []).append((use, entries))
+    fixed = [row for row in range(degree) if pure[row] is None]
+    # a key is read off the left counts, the right counts, the pure-power
+    # counts and the interior exponent, in that order; a row with no pure
+    # power has a quota of 0 and no place in the key
+    source = mixed + pure + [i0]
+    positions = [source.index(i) for i in range(n)]
+    # itemgetter of one index returns the item, not a 1-tuple
+    place = (itemgetter(*positions) if n > 1
+             else lambda values: (values[positions[0]],))
+    factorials = [1]
+    for j in range(1, order + 1):
+        factorials.append(factorials[-1] * j)
+    signed = [f if j % 2 == 0 else -f for j, f in enumerate(factorials)]
     zero_b = (0,) * n
     terms: dict = {}
-    counts = [0] * n
-
-    def walk(k: int, left: list[int], denominator: int, top: int):
-        for row in settled[k]:
-            if left[row] % degree or (left[row] and pure[row] is None):
-                return
-        if k == len(mixed):
-            point = counts.copy()
-            for row, rest in enumerate(left):
-                if rest:
-                    point[pure[row]] = rest // degree
-                    denominator *= factorial(rest // degree)
-            terms[(tuple(point), zero_b)] = top // denominator
-            return
-        i, exp = mixed[k]
-        most = min(left[row] // e for row, e in enumerate(exp) if e)
-        for c in range(most + 1):
-            if c:
-                left = [rest - e for rest, e in zip(left, exp)]
-                denominator *= c
-            counts[i] = c
-            walk(k + 1, left, denominator, top)
-        counts[i] = 0
-
-    for j in range(order + 1):
-        counts[i0] = -j - 1
-        walk(0, [j] * degree, 1, (-1) ** j * factorial(j))
+    for use_left, entries_left in left.items():
+        residues = tuple((u - use_left[0]) % degree for u in use_left)
+        for use_right, entries_right in right.get(residues, ()):
+            use = tuple(map(add, use_left, use_right))
+            top = max(use)
+            # a row with no pure power is filled by its mixed use alone
+            if top > order or fixed and any(use[r] < top for r in fixed):
+                continue
+            layers = []
+            for j in range(top + (use[0] - top) % degree,
+                           (top if fixed else order) + 1, degree):
+                quotas = tuple((j - u) // degree for u in use)
+                denominator = 1
+                for q in quotas:
+                    denominator *= factorials[q]
+                # j! / prod q! is a multinomial number, so exact
+                layers.append((quotas + (-j - 1,), signed[j] // denominator))
+            for counts_left, denominator_left in entries_left:
+                for counts_right, denominator_right in entries_right:
+                    counts = counts_left + counts_right
+                    pair = denominator_left * denominator_right
+                    for tail, numerator in layers:
+                        terms[(place(counts + tail), zero_b)] = (
+                            numerator // pair)
     return _raw_series(n, i0, terms, order)
 
 
@@ -98,6 +143,7 @@ def derivative_generating_series(base: LaurentSeries, p: int,
     the base series over all index tuples; requires enough input truncation
     to certify the requested output order.
     """
+    p, order = index(p), index(order)  # a float raises; True becomes 1
     if p < 1:
         raise ValueError("p must be at least 1")
     if base.truncation is not None and base.truncation < order + p:

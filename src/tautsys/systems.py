@@ -187,10 +187,15 @@ def build_scalar_system(spec: ModelSpec, relations: list[LatticeRelation],
     for k, l in _generator_indices(spec.d):
         pairs.append((f"symmetry[{k},{l}]",
                       symmetry_operator(spec, k, l, couple_b=p > 0)))
-    pairs.append((f"euler_a+{1 + p}", euler_a(n) + (1 + p)))
+    # the grading constants are ints like every other part; `+` of an int
+    # would store a Fraction
+    constant = (zero,) * 4
+    pairs.append((f"euler_a+{1 + p}",
+                  _raw_operator(n, {**euler_a(n).terms, constant: 1 + p})))
     if p:
         units = [multiset(n, (i,)) for i in range(n)]
-        pairs.append((f"euler_b-{p}", euler_b(n) - p))
+        pairs.append((f"euler_b-{p}",
+                      _raw_operator(n, {**euler_b(n).terms, constant: -p})))
         for combo in combinations_with_replacement(range(n), p + 1):
             op = _raw_operator(n, {(zero, zero, zero, multiset(n, combo)): 1})
             pairs.append((f"bder{list(combo)}", op))
@@ -262,6 +267,7 @@ def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
             f"the p={p} vector system at d={spec.d} has {size} equations, "
             f"above the supported {MAX_VECTOR_EQUATIONS}")
     n = spec.n
+    constant = ((0,) * n,) * 4
     slots = list(product(range(n), repeat=p))
     keys = tuple(_component_key(slot) for slot in slots)
     equations: list[VectorEquation] = []
@@ -270,7 +276,7 @@ def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
         for key in keys:
             equations.append(VectorEquation(f"{label}@{key}", ((key, toric),)))
     for gk, gl in _generator_indices(spec.d):
-        consts = {entry: _raw_operator(n, {((0,) * n,) * 4: value})
+        consts = {entry: _raw_operator(n, {constant: value})
                   for entry, value in _symmetry_entries(spec, gk, gl).items()}
         sym = symmetry_operator(spec, gk, gl)
         for slot, key in zip(slots, keys):
@@ -283,10 +289,10 @@ def build_vector_system(spec: ModelSpec, relations: list[LatticeRelation],
                         parts.append((moved, consts[k, j]))
             equations.append(VectorEquation(
                 f"symmetry[{gk},{gl}]@{key}", tuple(parts)))
-    grading = euler_a(n) + (1 + p)
+    grading = _raw_operator(n, {**euler_a(n).terms, constant: 1 + p})
     for key in keys:
         equations.append(VectorEquation(f"euler@{key}", ((key, grading),)))
-    one = WeylOperator.const(n, 1)
+    one = _raw_operator(n, {constant: 1})
     for slot, key in zip(slots, keys):
         # p = 1 has nothing to transpose: a one-slot tuple is its reverse
         if slot < slot[::-1]:

@@ -11,7 +11,8 @@ from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, PoleError,
                            solve_exact)
 from tautsys.membership import derivative_query
 from tautsys.model import LatticeRelation, ModelSpec, build_projective_model
-from tautsys.periods import PeriodFamily
+from tautsys.periods import (PeriodFamily, derivative_generating_series,
+                             period_series)
 from tautsys.series import LaurentSeries
 from tautsys.weyl import WeylOperator
 
@@ -138,6 +139,32 @@ def test_shape_fields_are_ints(entry):
             make(wrong)
     stored = getattr(make(True), field)
     assert type(stored) is int and stored == 1
+
+
+#: series builder taking one order that 1 fits: the period expansion's
+#: order, and the generating series' order and derivative count p
+ORDER_ENTRY_POINTS = {
+    "period order": lambda v: period_series(LINE, v),
+    "generating order": lambda v: derivative_generating_series(
+        period_series(LINE, 4), 1, v),
+    "generating p": lambda v: derivative_generating_series(
+        period_series(LINE, 4), v, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
+def test_series_orders_are_ints(entry):
+    """An order goes through `operator.index` like a shape field: a float or
+    a Fraction is refused, not stored as a truncation, and `True` builds
+    the series of 1 with an int truncation."""
+    make = ORDER_ENTRY_POINTS[entry]
+    one = make(1)
+    assert type(one.truncation) is int
+    for wrong in (1.0, Fraction(1)):
+        with pytest.raises(TypeError):
+            make(wrong)
+    stored = make(True)
+    assert stored == one and type(stored.truncation) is int
 
 
 def test_lattice_relation_vector_is_made_of_ints():

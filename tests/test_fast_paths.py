@@ -1,7 +1,10 @@
 """Fast paths cross-checked against the slow paths they replace.
 
-`period_series` walks each fiber directly; the state-growth loop below is
-the multiset enumeration it replaced, kept as an independent reference.
+`period_series` meets the fibers of all layers in the middle, from two
+half lists joined by residue class; the depth-first fiber walk it replaced
+and the state-growth multiset enumeration before that are kept as
+independent references, on the projective models in both orderings and on
+bases missing monomials.
 Internal series results skip the validating constructor; the seeded
 battery checks that every such result is still canonical.  The system
 builders write each operator's terms directly and treat every p in one
@@ -53,8 +56,8 @@ import json
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations_with_replacement, product
-from math import comb, lcm
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, lcm
 from operator import add
 
 import pytest
@@ -69,7 +72,7 @@ from tautsys.exact import (FamilyError, Inconsistent, LinearSystem, Solution,
                            SparsePoly, add_term, multiset, solve_exact)
 from tautsys.membership import (SectionPoint, derivative_query,
                                 membership_test)
-from tautsys.model import (ORDERINGS, LatticeRelation,
+from tautsys.model import (ORDERINGS, LatticeRelation, ModelSpec,
                            build_projective_model, fermat_point, lie_action,
                            lattice_relations)
 from tautsys.periods import (PeriodFamily, derivative_generating_series,
@@ -122,6 +125,105 @@ def state_growth_period_series(spec, order):
             if all(-remaining * d <= t <= remaining for t in torus):
                 state[a_counts] = count
     return LaurentSeries(n, i0, terms, truncation=order)
+
+
+def ref_fiber_walk(spec, order):
+    """Walk each layer's fiber depth first: pick the counts of the mixed
+    monomials, sorted by support so that rows settle one after another,
+    and let the pure powers x_r^(d+1) fill what is left of each row, which
+    must be a multiple of d+1."""
+    n, i0, degree = spec.n, spec.i0, spec.d + 1
+    pure = [None] * degree
+    mixed = []
+    for i, exp in enumerate(spec.basis):
+        if i == i0:
+            continue
+        if degree in exp:
+            pure[exp.index(degree)] = i
+        else:
+            mixed.append((i, exp))
+    # once the last mixed monomial using a row is chosen, that row's
+    # remainder is final and must already be a multiple of d+1
+    mixed.sort(key=lambda item: [not e for e in item[1]])
+    last = [max((k + 1 for k, (_, exp) in enumerate(mixed) if exp[row]),
+                default=0) for row in range(degree)]
+    settled = [[row for row in range(degree) if last[row] == k]
+               for k in range(len(mixed) + 1)]
+    zero_b = (0,) * n
+    terms = {}
+    counts = [0] * n
+
+    def walk(k, left, denominator, top):
+        for row in settled[k]:
+            if left[row] % degree or (left[row] and pure[row] is None):
+                return
+        if k == len(mixed):
+            point = counts.copy()
+            for row, rest in enumerate(left):
+                if rest:
+                    point[pure[row]] = rest // degree
+                    denominator *= factorial(rest // degree)
+            terms[(tuple(point), zero_b)] = top // denominator
+            return
+        i, exp = mixed[k]
+        most = min(left[row] // e for row, e in enumerate(exp) if e)
+        for c in range(most + 1):
+            if c:
+                left = [rest - e for rest, e in zip(left, exp)]
+                denominator *= c
+            counts[i] = c
+            walk(k + 1, left, denominator, top)
+        counts[i] = 0
+
+    for j in range(order + 1):
+        counts[i0] = -j - 1
+        walk(0, [j] * degree, 1, (-1) ** j * factorial(j))
+    return _raw_series(n, i0, terms, order)
+
+
+def sub_bases(d):
+    """Models of P^d keeping the interior monomial and some of the others,
+    from the interior alone to the whole basis (every subset at d = 1,
+    every seventh at d = 2): some miss pure powers, some mixed monomials."""
+    full = build_projective_model(d)
+    interior = (1,) * (d + 1)
+    others = [exp for exp in full.basis if exp != interior]
+    for size in range(len(others) + 1):
+        for keep in list(combinations(others, size))[::7 ** (d - 1)]:
+            basis = (interior,) + keep
+            yield ModelSpec(d=d, n=len(basis), basis=basis, i0=0,
+                            ordering="grlex")
+
+
+def assert_same_period_series(fast, slow, order):
+    assert fast == slow
+    assert fast.truncation == slow.truncation == order
+    assert type(fast.truncation) is int
+    assert {type(c) for c in fast.terms.values()} <= {int}
+    assert series_to_obj(fast) == series_to_obj(slow)
+    assert_canonical(fast)
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,top", [(1, 30), (2, 14), (3, 6)])
+def test_period_series_matches_fiber_walk(d, top, ordering):
+    """The meet-in-the-middle join lists the terms, truncation and `int`
+    coefficients of the fiber walk, layer for layer."""
+    spec = build_projective_model(d, ordering=ordering)
+    for order in range(top + 1):
+        assert_same_period_series(period_series(spec, order),
+                                  ref_fiber_walk(spec, order), order)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_period_series_matches_fiber_walk_on_sub_bases(d):
+    """A row with no pure power takes only the layer its mixed use fills;
+    with no mixed monomial both halves are empty, and a model of the
+    interior monomial alone keeps its one-index key."""
+    for spec in sub_bases(d):
+        for order in range(9):
+            assert_same_period_series(period_series(spec, order),
+                                      ref_fiber_walk(spec, order), order)
 
 
 def assert_canonical(series):
@@ -1075,6 +1177,25 @@ def exact_copy(series):
 APPLY_CASES = [(1, (2, 3, 4), {0: 8, 1: 6, 2: 6, 3: 6}),
                (2, (2, 3, 4), {0: 3, 1: 1, 2: 1, 3: 0}),
                (3, (2,), {0: 2, 1: 0})]
+
+
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,bounds,orders", APPLY_CASES)
+def test_system_operators_hold_int_coefficients(d, bounds, orders, ordering):
+    """Every coefficient of every scalar system operator is an `int`, the
+    grading constants of `euler_a+(1+p)` and `euler_b-p` included, and so
+    is every part of the vector systems for p = 1 and 2."""
+    spec = build_projective_model(d, ordering=ordering)
+    for bound in bounds:
+        for p in orders:
+            for label, op in scalar_system(d, ordering, bound, p).labelled():
+                assert {type(c) for c in op.terms.values()} == {int}, label
+            if p in (1, 2):
+                system = build_vector_system(
+                    spec, lattice_relations(spec, bound), p)
+                for equation in system.equations:
+                    for _, op in equation.parts:
+                        assert {type(c) for c in op.terms.values()} == {int}
 
 
 @pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
