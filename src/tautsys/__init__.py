@@ -15,7 +15,7 @@ from .membership import (Member, MembershipCertificate, MembershipQuery,
                          section_polynomial, verify_certificate)
 from .model import (LatticeRelation, LieGenerator, ModelSpec, SpanReport,
                     build_projective_model, fermat_point, lattice_relations,
-                    lie_action, monomials_of_degree,
+                    lie_action, lie_entries, monomials_of_degree,
                     multiplication_surjectivity)
 from .periods import (AnnihilationReport, PeriodFamily,
                       closed_form_series_p1, derivative_generating_series,

@@ -10,12 +10,13 @@ d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
 verify-periods order of at most MAX_VERIFY_ORDER for its (d, p, degree
 bound), the measured envelope, checked before anything is built.  The
 least verify-periods order that certifies anything (the degree bound or
-less) is checked before the series is built.  The library adds k + l <= 4
-for spans, filtration p <= 5, membership systems of at most 8820 entries
-(alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of at most 35 280 entries
-over all their parameters, at most 4764 candidate relation pairs (degree
-bound 2 at d = 3), scalar systems of at most 4125 operators (p <= 1 at
-d = 3) and vector systems of at most 93 895 equations (p = 1 at d = 3).
+less) is read off the residual report, before anything is printed.  The
+library adds k + l <= 4 for spans, filtration p <= 5, membership systems
+of at most 8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of
+at most 35 280 entries over all their parameters, at most 4764 candidate
+relation pairs (degree bound 2 at d = 3), scalar systems of at most 4125
+operators (p <= 1 at d = 3) and vector systems of at most 93 895 equations
+(p = 1 at d = 3).
 """
 
 import argparse
@@ -40,8 +41,7 @@ from .periods import (derivative_generating_series,
                       verify_annihilation)
 from .systems import (build_scalar_system, fourier_matches_dual, scalarize,
                       vectorize)
-from .weyl import (WeylOperator, commutator, compose, coord_a, d_a, fourier,
-                   index_shift)
+from .weyl import WeylOperator, commutator, compose, coord_a, d_a, fourier
 
 MAX_ORDER = 30
 MAX_P = 3
@@ -93,15 +93,18 @@ def _check_bounds(args):
             f"{DEGREE_BOUNDS[0]}..{DEGREE_BOUNDS[1]}")
 
 
-def _check_verify_order(spec: ModelSpec, system, order: int, bound: int):
-    """Reject an order too low to certify anything: the residuals are exact
-    through `order` plus the system's worst index shift, which must not be
-    negative.  Every (d, p, degree bound) admits its least such order."""
-    least = -min(index_shift(op, spec.i0) for op in system.operators)
-    if order < least:
+def _check_verify_order(spec: ModelSpec, system, order: int, bound: int,
+                        report):
+    """Reject an order too low to certify anything.  The residuals of a
+    series exact through `order` are exact through `order` plus the
+    system's worst index shift, the report's verified order, which must not
+    be negative; the least admitted order is the one where it is zero.
+    Every (d, p, degree bound) admits its least such order."""
+    if report.verified_order < 0:
         raise UsageError(
             f"order {order} certifies nothing at d={spec.d} p={system.p} "
-            f"degree bound {bound}; the minimum order is {least}")
+            f"degree bound {bound}; the minimum order is "
+            f"{order - report.verified_order}")
 
 
 def _check_verify_limit(d: int, p: int, bound: int, order: int):
@@ -199,11 +202,11 @@ def cmd_verify_periods(args):
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
     system = build_scalar_system(spec, relations, args.p)
-    _check_verify_order(spec, system, args.order, args.degree_bound)
     series = period_series(spec, args.order + args.p)
     if args.p:
         series = derivative_generating_series(series, args.p, args.order)
     report = verify_annihilation(system, series)
+    _check_verify_order(spec, system, args.order, args.degree_bound, report)
     lines: list[str] = []
     _header(args, lines)
     lines.append(f"model: d={spec.d} n={spec.n} i0={spec.i0}")

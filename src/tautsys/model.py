@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
-from operator import index, sub
+from operator import add, index, itemgetter
 
 from .exact import Rat, exponents, multiset
 
@@ -161,24 +161,41 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
 
     Enumerates multisets of basis columns of equal size and equal column
     sum; pairs with common support are skipped since they reduce to a
-    smaller relation already found.  The relations are distinct up to
-    sign by construction, each with a positive first nonzero entry, and
-    come sorted by (degree, vector).  The candidate pairs are counted
+    smaller relation already found.  The multisets of each size grow from
+    those one smaller by one column at or after their last: the counts
+    gain one at the new index, the column sum one basis column and the
+    support bit mask one bit.  The relations are distinct up to sign by
+    construction, each with a positive first nonzero entry, and come sorted
+    by (degree, vector): each size's relations are sorted by vector and the
+    sizes follow in ascending order.  The candidate pairs are counted
     before any is formed, and a count above MAX_RELATION_PAIRS raises
     `ResourceBoundError` naming the largest bound whose count fits.
     """
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
-    # each member is a multiset with its support as a bit mask
-    fibers: list[list[tuple[tuple[int, ...], int]]] = []
+    basis, n = spec.basis, spec.n
+    # each multiset as (indices, counts, column sum, support bit mask), its
+    # indices ascending, so each level comes in combinations_with_replacement
+    # order: descending lex order of the counts
+    level = [((), (0,) * n, (0,) * (spec.d + 1), 0)]
+    sizes: list[list[list]] = []  # per size from 2, the fibers
     pairs = largest = 0
-    for size in range(2, degree_bound + 1):
+    for size in range(1, degree_bound + 1):
+        grown = []
+        for indices, counts, column_sum, support in level:
+            for j in range(indices[-1] if indices else 0, n):
+                bumped = list(counts)
+                bumped[j] += 1
+                grown.append((indices + (j,), tuple(bumped),
+                              tuple(map(add, column_sum, basis[j])),
+                              support | 1 << j))
+        level = grown
+        if size < 2:
+            continue
         groups: dict[tuple[int, ...], list] = {}
-        for combo in combinations_with_replacement(range(spec.n), size):
-            column_sum = tuple(map(sum, zip(*(spec.basis[j] for j in combo))))
-            groups.setdefault(column_sum, []).append(
-                (multiset(spec.n, combo), sum({1 << j for j in combo})))
-        fibers.extend(groups.values())
+        for member in level:
+            groups.setdefault(member[2], []).append(member)
+        sizes.append(list(groups.values()))
         pairs += sum(comb(len(members), 2) for members in groups.values())
         if pairs <= MAX_RELATION_PAIRS:
             largest = size
@@ -194,16 +211,22 @@ def lattice_relations(spec: ModelSpec, degree_bound: int) -> list[LatticeRelatio
     # relation is made without the constructor's checks, with plus and
     # minus as its positive and negative parts.
     out = []
-    for members in fibers:
-        for idx, (plus, plus_support) in enumerate(members):
-            for minus, minus_support in members[idx + 1:]:
-                if plus_support & minus_support:
-                    continue
-                rel = object.__new__(LatticeRelation)
-                rel.__dict__.update(vector=tuple(map(sub, plus, minus)),
-                                    positive=plus, negative=minus)
-                out.append(rel)
-    out.sort(key=lambda rel: (rel.degree, rel.vector))
+    for fibers in sizes:
+        found = []
+        for members in fibers:
+            for idx, (_, plus, _, plus_support) in enumerate(members):
+                for indices, minus, _, minus_support in members[idx + 1:]:
+                    if plus_support & minus_support:
+                        continue
+                    vector = list(plus)
+                    for j in indices:
+                        vector[j] -= 1
+                    found.append((tuple(vector), plus, minus))
+        found.sort(key=itemgetter(0))
+        for vector, plus, minus in found:
+            rel = object.__new__(LatticeRelation)
+            rel.__dict__.update(vector=vector, positive=plus, negative=minus)
+            out.append(rel)
     return out
 
 
@@ -225,19 +248,31 @@ class LieGenerator:
     matrix: tuple[tuple[int, ...], ...]
 
 
-def lie_action(spec: ModelSpec, k: int, l: int) -> LieGenerator:
+def lie_entries(spec: ModelSpec, k: int, l: int) -> dict[tuple[int, int], int]:
+    """The nonzero entries of the `lie_action` matrix of E_kl, as ints keyed
+    (dst, src) in ascending src: each monomial m with m_l >= 1 has the one
+    image m - e_l + e_k, with weight m_l, and E_kk keeps every such m."""
     if not (0 <= k <= spec.d and 0 <= l <= spec.d):
         raise ValueError(f"generator indices ({k}, {l}) out of range")
-    rows = [[0] * spec.n for _ in range(spec.n)]
+    entries = {}
     for src, exp in enumerate(spec.basis):
         weight = exp[l]
-        if weight == 0:
-            continue
-        shifted = list(exp)
-        shifted[l] -= 1
-        shifted[k] += 1
-        dst = spec.index_of(tuple(shifted))
-        rows[dst][src] += weight
+        if weight:
+            dst = src
+            if k != l:
+                shifted = list(exp)
+                shifted[l] -= 1
+                shifted[k] += 1
+                dst = spec.index_of(shifted)
+            entries[dst, src] = weight
+    return entries
+
+
+def lie_action(spec: ModelSpec, k: int, l: int) -> LieGenerator:
+    """E_kl as a dense n x n matrix, built from its `lie_entries`."""
+    rows = [[0] * spec.n for _ in range(spec.n)]
+    for (dst, src), weight in lie_entries(spec, k, l).items():
+        rows[dst][src] = weight
     return LieGenerator(k=k, l=l, matrix=tuple(tuple(row) for row in rows))
 
 

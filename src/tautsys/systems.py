@@ -39,7 +39,7 @@ from math import comb, factorial, prod
 from operator import add
 
 from .exact import Rat, add_term, multiset
-from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_action
+from .model import LatticeRelation, ModelSpec, ResourceBoundError, lie_entries
 from .series import LaurentSeries
 from .weyl import (DerivativeTable, WeylOperator, _raw_operator,
                    apply_operator, d_a, euler_a, euler_b, fourier)
@@ -74,12 +74,14 @@ def toric_operator(n: int, relation: LatticeRelation) -> WeylOperator:
 def _symmetry_entries(spec: ModelSpec, k: int,
                       l: int) -> dict[tuple[int, int], int]:
     """The nonzero entries of `symmetry_matrix`, as ints keyed (i, j) in
-    row order, read from the derivation matrix of E_lk."""
-    trace = k == l
-    return {(i, j): value
-            for i, column in enumerate(zip(*lie_action(spec, l, k).matrix))
-            for j, weight in enumerate(column)
-            if (value := weight - (trace and i == j))}
+    row order: the `lie_entries` of E_lk keyed (src, dst), with no dense
+    matrix.  Each row holds at most one entry; for k == l that is the
+    diagonal entry m_k less 1, on every monomial."""
+    entries = lie_entries(spec, l, k)
+    if k == l:
+        return {(i, i): value for i in range(spec.n)
+                if (value := entries.get((i, i), 0) - 1)}
+    return {(src, dst): weight for (dst, src), weight in entries.items()}
 
 
 def symmetry_matrix(spec: ModelSpec, k: int, l: int) -> tuple[tuple[Rat, ...], ...]:

@@ -21,7 +21,7 @@ with multi-index k running below both g and c.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from math import comb, perm
 from operator import add, index, lshift
 from typing import Iterable, Mapping, Sequence
@@ -259,15 +259,18 @@ class DerivativeTable:
     one addition, with no carry from slot to slot; an operator reaching past
     those bounds raises.
 
-    Derivatives are memoized by their orders d1 + d2, each one step past
-    its prefix (the orders with the last nonzero one lowered); a term whose
-    falling factor vanishes is never stored, and the derivative of an empty
-    prefix is empty with no pass.  Packed coordinate factors are memoized by
-    c1 + c2.
+    The series is packed with one shift-sum per term over the slot
+    offsets and no bound check, since the slots were sized from the same
+    terms.  Derivatives are memoized by their orders d1 + d2, each one step
+    past its prefix (the orders with the last nonzero one lowered); a term
+    whose falling factor vanishes is never stored, and the derivative of an
+    empty prefix is empty with no pass.  A term with no coordinate part
+    (every toric, b-derivative and mixed term) takes the packed factor 0;
+    the other packed coordinate factors are memoized by c1 + c2.
     """
 
     __slots__ = ("series", "width", "offset", "shift", "order_i0", "_top",
-                 "_reach", "_maps", "_shifts")
+                 "_reach", "_maps", "_shifts", "_zero")
 
     def __init__(self, series: LaurentSeries,
                  operators: Iterable[WeylOperator]):
@@ -291,17 +294,20 @@ class DerivativeTable:
         self.shift = shift
         self.order_i0 = order_i0
         self._top = top = 2 * series.n * self.width
-        packed = {}
-        for (a, b), coeff in series.terms.items():
-            exponents = [*a, *b]
-            exponents[i0] += offset
-            key = _pack(exponents, self.width) | _index(a, i0) << top
-            packed[key] = coeff
+        # the width and offset were chosen from these very terms, so every
+        # slot fits and no term is checked; `base` raises the a_{i0} slot by
+        # `offset`, which also lifts a negative a_{i0} exponent to >= 0
+        ats = range(0, top, self.width)
+        base = offset << ats[i0]
+        packed = {sum(map(lshift, a + b, ats)) + base
+                  + (_index(a, i0) << top): coeff
+                  for (a, b), coeff in series.terms.items()}
         # the highest expansion index of the series, which a derivative
         # lowers by one per non-distinguished a-order
         self._reach = max(packed, default=0) >> top
         self._maps = {(0,) * (2 * series.n): packed}
         self._shifts: dict[tuple[int, ...], int] = {}
+        self._zero = zero
 
     def derivative(self, orders: tuple[int, ...]) -> dict[int, Rat]:
         """Packed map of the series differentiated `orders[k]` times in slot
@@ -309,9 +315,8 @@ class DerivativeTable:
         maps = self._maps
         step = maps.get(orders)
         if step is None:
-            slot = len(orders) - 1
-            while not orders[slot]:
-                slot -= 1
+            slot = next(compress(range(len(orders) - 1, -1, -1),
+                                 reversed(orders)))
             offset = 0
             if slot == self.series.i0:
                 if orders[slot] > self.order_i0:
@@ -369,9 +374,11 @@ class DerivativeTable:
         agree up to the truncation less the factor's index; that is checked
         with one comparison before anything is summed."""
         parts = []
+        zero = self._zero
         for (c1, c2, d1, d2), coeff in op.terms.items():
             derivative = self.derivative(d1 + d2)
-            shift = self._shift(c1 + c2)
+            shift = (0 if c1 == zero and c2 == zero
+                     else self._shift(c1 + c2))
             if derivative:
                 parts.append((_integral(coeff), derivative, shift, d1))
         if not parts:

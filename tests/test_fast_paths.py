@@ -35,7 +35,8 @@ comparing its two derivatives; the accumulating loop it ran before is the
 reference on every operator of every system the caps admit, on seeded
 binomial rows that vanish or do not and on empty series, and maps that
 count the passes over them show each vanishing toric and mixed row
-settled without a sum.  `solve_exact`
+settled without a sum; the memo holds each derivative one step past the
+prefix that lowers its last nonzero slot.  `solve_exact`
 carries the witness multipliers as integer columns of its Bareiss rows and
 back-substitutes values and nullspace in one loop; the elimination with a
 `Fraction` multiplier matrix and two back-substitutions is the reference on
@@ -50,6 +51,10 @@ of checked operators and relations.
 operators without re-checking parts they built themselves; the validating
 builders they replaced are the references on every system the caps admit,
 relation by relation, operator by operator and byte for byte in JSON.
+The gl action is read as the sparse entries of each generator; the dense
+matrix loop `lie_action` ran before is the reference for those entries,
+the matrix built from them and the symmetry entries and matrix, for every
+generator at d = 1..3 in both orderings.
 """
 
 import json
@@ -74,13 +79,14 @@ from tautsys.membership import (SectionPoint, derivative_query,
                                 membership_test)
 from tautsys.model import (ORDERINGS, LatticeRelation, ModelSpec,
                            build_projective_model, fermat_point, lie_action,
-                           lattice_relations)
+                           lie_entries, lattice_relations)
 from tautsys.periods import (PeriodFamily, derivative_generating_series,
                              derivative_vector_solution, period_series,
                              verify_annihilation)
 from tautsys.serialize import operator_to_obj, series_to_obj
 from tautsys.series import LaurentSeries, _raw_series
 from tautsys.systems import (DiffSystem, VectorSolution, _orderings,
+                             _symmetry_entries,
                              build_scalar_system, build_tautological_system,
                              build_vector_system, dual_generator_families,
                              scalarize, symmetry_matrix, vector_residual,
@@ -1436,6 +1442,30 @@ def test_table_apply_matches_accumulating_loop_on_systems(d, bounds, orders,
                         fast, ref_table_residual(op, target, reference))
 
 
+@pytest.mark.parametrize("ordering", ["grlex", "interior-first"])
+@pytest.mark.parametrize("d,p", [(1, 2), (2, 1), (3, 1)])
+def test_table_memoizes_each_derivative_one_step_past_its_prefix(d, p,
+                                                                 ordering):
+    """A new derivative is one step past its prefix, the orders with the
+    last nonzero one lowered: once every operator's derivative is taken,
+    the memo holds exactly the base map and those prefix chains, which the
+    toric rows sharing leading slots share."""
+    spec = build_projective_model(d, ordering=ordering)
+    operators = scalar_system(d, ordering, 2, p).operators
+    series = derivative_generating_series(period_series(spec, 2 + p), p, 2)
+    table = DerivativeTable(series, operators)
+    chains = {(0,) * (2 * spec.n)}
+    for op in operators:
+        for _, _, d1, d2 in op.terms:
+            orders = d1 + d2
+            table.derivative(orders)
+            while orders not in chains:
+                chains.add(orders)
+                slot = max(i for i, e in enumerate(orders) if e)
+                orders = _plus(orders, slot, -1)
+    assert set(table._maps) == chains
+
+
 def _plus(exponents, at, count):
     return exponents[:at] + (exponents[at] + count,) + exponents[at + 1:]
 
@@ -2037,12 +2067,51 @@ def ref_lattice_relations(spec, degree_bound):
     return out
 
 
+def ref_lie_matrix(spec, k, l):
+    """The dense derivation matrix of E_kl, filled one column at a time, as
+    `lie_action` was before it read the sparse entries."""
+    rows = [[0] * spec.n for _ in range(spec.n)]
+    for src, exp in enumerate(spec.basis):
+        weight = exp[l]
+        if weight == 0:
+            continue
+        shifted = list(exp)
+        shifted[l] -= 1
+        shifted[k] += 1
+        dst = spec.index_of(tuple(shifted))
+        rows[dst][src] += weight
+    return tuple(tuple(row) for row in rows)
+
+
 def ref_symmetry_matrix(spec, k, l):
-    derivation = lie_action(spec, l, k).matrix
+    derivation = ref_lie_matrix(spec, l, k)
     return tuple(
         tuple(Fraction(derivation[j][i] - (1 if k == l and i == j else 0))
               for j in range(spec.n))
         for i in range(spec.n))
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gl_action_matches_dense_loop(d, ordering):
+    """`lie_entries`, the `lie_action` matrix built from them, and the
+    symmetry entries and matrix read from them match the dense loop for
+    every generator, values and key order alike."""
+    spec = build_projective_model(d, ordering=ordering)
+    for k, l in generators(d):
+        dense = ref_lie_matrix(spec, k, l)
+        assert lie_action(spec, k, l).matrix == dense
+        assert list(lie_entries(spec, k, l).items()) == sorted(
+            (((dst, src), weight) for dst, row in enumerate(dense)
+             for src, weight in enumerate(row) if weight),
+            key=lambda entry: entry[0][1])
+        matrix = ref_symmetry_matrix(spec, k, l)
+        assert symmetry_matrix(spec, k, l) == matrix
+        entries = _symmetry_entries(spec, k, l)
+        assert list(entries.items()) == [
+            ((i, j), value) for i, row in enumerate(matrix)
+            for j, value in enumerate(row) if value]
+        assert all(type(value) is int for value in entries.values())
 
 
 def ref_checked_symmetry(spec, k, l, couple_b):

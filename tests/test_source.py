@@ -425,3 +425,26 @@ def test_series_are_cut_in_one_helper():
                         if isinstance(node, (ast.For, ast.comprehension))]
     assert sorted(found) == ["series.LaurentSeries.__init__",
                              "series.LaurentSeries._like"]
+
+
+def test_index_shift_is_taken_only_by_apply_operator():
+    """An operator's worst index shift is taken once per application, in
+    `weyl.apply_operator`; `verify-periods` reads its least certifying order
+    off the residual report instead of taking every shift again."""
+    found = []
+    for path in SOURCES:
+        for name, func in _methods(_parse(path)).items():
+            found += [f"{path.stem}.{name}" for node in ast.walk(func)
+                      if isinstance(node, ast.Name)
+                      and node.id == "index_shift"]
+    assert found == ["weyl.apply_operator"]
+
+
+def test_lie_matrices_are_read_only_in_the_model():
+    """The system builders read the gl action as the sparse `lie_entries`;
+    only `model` reads the dense matrix of a `LieGenerator`."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "model.py"
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert found == []
