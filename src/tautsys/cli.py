@@ -10,13 +10,17 @@ d <= 3, p <= 3, truncation order <= 30, relation degree bound <= 4, and a
 verify-periods order of at most MAX_VERIFY_ORDER for its (d, p, degree
 bound), the measured envelope, checked before anything is built.  The
 least verify-periods order that certifies anything (the degree bound or
-less) is read off the residual report, before anything is printed.  The
-library adds k + l <= 4 for spans, filtration p <= 5, membership systems
-of at most 8820 entries (alpha order <= 5, 2, 1 at d = 1, 2, 3), scans of
-at most 35 280 entries over all their parameters, at most 4764 candidate
-relation pairs (degree bound 2 at d = 3), scalar systems of at most 4125
-operators (p <= 1 at d = 3) and vector systems of at most 93 895 equations
-(p = 1 at d = 3).
+less) is read off the residual report, before anything is printed.  A
+`--point` or `--line` entry is `num` or `num/den` in ASCII decimal digits,
+at most MAX_RATIONAL_DIGITS each.  The library adds k + l <= 4 for spans,
+filtration p <= 5, membership systems of at most
+`membership.MAX_SYSTEM_CELLS` entries (alpha order <= 5, 2, 1 at d = 1, 2,
+3), scans of at most `membership.MAX_SCAN_CELLS` entries over all their
+parameters, at most `model.MAX_RELATION_PAIRS` candidate relation pairs
+(degree bound 2 at d = 3), scalar systems of at most
+`systems.MAX_SYSTEM_OPERATORS` operators (p <= 1 at d = 3) and vector
+systems of at most `systems.MAX_VECTOR_EQUATIONS` equations (p = 1 at
+d = 3).
 """
 
 import argparse
@@ -64,6 +68,12 @@ MAX_VERIFY_ORDER = {
     (2, 0, 4): 18, (2, 1, 4): 13, (2, 2, 4): 9, (2, 3, 4): 7,
     (3, 0, 2): 7, (3, 1, 2): 4,
 }
+#: most decimal digits in the numerator or the denominator of a `--point`
+#: or `--line` entry: the largest count at which d = 2 membership at alpha
+#: order 2 and the 4-parameter d = 2 scans, every entry that long, printed
+#: every number within 5 s in the median of 3 runs (0.53 s and 2.3 s at 2
+#: digits; the scans took 8.6-9.4 s at 3)
+MAX_RATIONAL_DIGITS = 2
 
 
 class UsageError(ValueError):
@@ -143,31 +153,39 @@ def _parse_alpha(text: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    if not text.isascii() or "_" in text:
-        raise UsageError(f"cannot parse rational vector {text!r}: "
-                         "only ASCII characters without '_' are read")
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational vector {text!r}: {exc}")
+    """Read comma-separated rationals, each `num` or `num/den` with spaces
+    around: ASCII digits, at most MAX_RATIONAL_DIGITS each, a minus only on
+    `num`; the form `rat_str` prints and the rule `integer` applies."""
+    digits = f"[0-9]{{1,{MAX_RATIONAL_DIGITS}}}"
+    vector = []
+    for token in text.split(","):
+        match = re.fullmatch(rf"\s*(-?{digits})(?:/({digits}))?\s*", token,
+                             re.ASCII)
+        if not match or match[2] and not int(match[2]):
+            raise UsageError(
+                f"cannot parse rational vector {text!r}: {token.strip()!r} "
+                f"is not num or num/den (ASCII digits, at most "
+                f"{MAX_RATIONAL_DIGITS} each, den nonzero)")
+        vector.append(Fraction(int(match[1]), int(match[2] or 1)))
+    return tuple(vector)
 
 
 def _model(args) -> ModelSpec:
     return build_projective_model(args.d, ordering=args.ordering)
 
 
-def _header(args, lines: list[str]):
-    lines.append("tautsys report")
-    lines.append(f"command: {args.command}")
+def _header(args) -> list[str]:
+    lines = ["tautsys report", f"command: {args.command}"]
     for key in ("d", "p", "order", "degree_bound", "ordering", "k", "l"):
         value = getattr(args, key, None)
         if value is not None:
             lines.append(f"option {key.replace('_', '-')}: {value}")
     lines.append(f"seed: {getattr(args, 'seed', None) or 'none'}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns (lines, ok)
+# Subcommands: each returns (body lines, ok); `main` frames them
 # ---------------------------------------------------------------------------
 
 
@@ -177,11 +195,9 @@ def cmd_build_system(args):
     system = build_scalar_system(spec, relations, args.p)
     text = serialize.dumps(
         serialize.build_system_document(spec, relations, system))
-    lines: list[str] = []
-    _header(args, lines)
-    lines.append(f"model: d={spec.d} n={spec.n} i0={spec.i0}")
-    lines.append(f"relations: {len(relations)}")
-    lines.append(f"operators: {len(system.operators)}")
+    lines = [f"model: d={spec.d} n={spec.n} i0={spec.i0}",
+             f"relations: {len(relations)}",
+             f"operators: {len(system.operators)}"]
     if args.out:
         path = args.out
         out_dir = os.environ.get("TAUTSYS_OUT")
@@ -191,9 +207,7 @@ def cmd_build_system(args):
             handle.write(text)
         lines.append(f"wrote: {path}")
     else:
-        lines.append("system-json:")
-        lines.append(text.rstrip("\n"))
-    lines.append("verdict: PASS")
+        lines += ["system-json:", text.rstrip("\n")]
     return lines, True
 
 
@@ -207,34 +221,25 @@ def cmd_verify_periods(args):
         series = derivative_generating_series(series, args.p, args.order)
     report = verify_annihilation(system, series)
     _check_verify_order(spec, system, args.order, args.degree_bound, report)
-    lines: list[str] = []
-    _header(args, lines)
-    lines.append(f"model: d={spec.d} n={spec.n} i0={spec.i0}")
-    lines.append(f"series: terms={len(series.terms)} "
-                 f"truncation={series.truncation}")
+    lines = [f"model: d={spec.d} n={spec.n} i0={spec.i0}",
+             f"series: terms={len(series.terms)} "
+             f"truncation={series.truncation}"]
     for entry in report.entries:
         status = "zero" if entry.zero else "NONZERO"
         lines.append(f"residual[{entry.label}]: {status} "
                      f"(verified to order {entry.verified_order})")
     lines.append(f"all-zero: {'yes' if report.all_zero else 'no'}")
     lines.append(f"verified-order: {report.verified_order}")
-    ok = report.all_zero and (report.verified_order is None
-                              or report.verified_order >= 0)
-    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
-    return lines, ok
+    return lines, report.all_zero
 
 
 def cmd_fourier(args):
     spec = _model(args)
     relations = lattice_relations(spec, args.degree_bound)
     ok, detail = fourier_matches_dual(spec, relations)
-    lines: list[str] = []
-    _header(args, lines)
-    for line in detail:
-        lines.append(f"generator {line}")
+    lines = [f"generator {line}" for line in detail]
     lines.append(
         f"fourier image matches dual golden forms: {'yes' if ok else 'no'}")
-    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
     return lines, ok
 
 
@@ -266,9 +271,9 @@ def _describe_result(result, lines):
     if isinstance(result, Member):
         lines.append("result: member")
         for i, q in enumerate(result.certificate.q):
-            body = serialize.poly_to_obj(q)["terms"]
             rendered = " + ".join(
-                f"{t['coeff']}*x^{t['exponents']}" for t in body) or "0"
+                f"{serialize.rat_str(coeff)}*x^{list(exp)}"
+                for exp, coeff in q.sorted_terms()) or "0"
             lines.append(f"certificate q{i}: {rendered}")
     else:
         lines.append("result: non-member")
@@ -298,17 +303,12 @@ def cmd_membership(args):
     point = _resolve_point(args, spec)
     query = _resolve_query(args, spec)
     result = membership_test(spec, point, query)
-    lines: list[str] = []
-    _header(args, lines)
-    lines.append(
-        f"point: {','.join(serialize.rat_str(v) for v in point.a)}")
-    lines.append(
-        f"query: degree {query.poly.total_degree() or 0} "
-        f"(order {query.order})")
+    lines = [f"point: {','.join(serialize.rat_str(v) for v in point.a)}",
+             f"query: degree {query.poly.total_degree() or 0} "
+             f"(order {query.order})"]
     _describe_result(result, lines)
     audited = _audit(spec, point, query, result)
     lines.append(f"certificate-audit: {'pass' if audited else 'FAIL'}")
-    lines.append(f"verdict: {'PASS' if audited else 'FAIL'}")
     return lines, audited
 
 
@@ -326,25 +326,20 @@ def cmd_scan(args):
         raise UsageError(f"base and direction must have length {spec.n}")
     results = scan_family(spec, query, SectionPoint.of(base), direction,
                           params)
-    lines: list[str] = []
-    _header(args, lines)
-    ok = True
+    lines, ok = [], True
     for t, result in results:
         verdict = "member" if isinstance(result, Member) else "non-member"
         point = SectionPoint.of(
             tuple(b + t * s for b, s in zip(base, direction)))
         ok = ok and _audit(spec, point, query, result)
         lines.append(f"t={serialize.rat_str(t)}: {verdict}")
-    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
     return lines, ok
 
 
 def cmd_surjectivity(args):
     spec = _model(args)
     report = multiplication_surjectivity(spec, args.k, args.l)
-    lines: list[str] = []
-    _header(args, lines)
-    lines.append(f"product span rank: {report.rank} / {report.expected}")
+    lines = [f"product span rank: {report.rank} / {report.expected}"]
     ok = report.surjective
     if args.filtration is not None:
         filt = filtration_generators(spec, args.filtration)
@@ -352,7 +347,6 @@ def cmd_surjectivity(args):
             f"filtration generators (p={args.filtration}): "
             f"{filt.rank} / {filt.expected}")
         ok = ok and filt.surjective
-    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
     return lines, ok
 
 
@@ -456,14 +450,9 @@ def cmd_selftest(args):
     checks.append(("membership worked example",
                    isinstance(member, Member) and isinstance(non, NonMember)))
 
-    lines: list[str] = []
-    _header(args, lines)
-    all_ok = True
-    for name, good in checks:
-        lines.append(f"check {name}: {'ok' if good else 'FAIL'}")
-        all_ok = all_ok and good
-    lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
-    return lines, all_ok
+    return ([f"check {name}: {'ok' if good else 'FAIL'}"
+             for name, good in checks],
+            all(good for _, good in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +478,23 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=integer, default=0)
 
     p = sub.add_parser("build-system", help="emit a system as exact JSON")
+    p.set_defaults(handler=cmd_build_system)
     common(p)
     p.add_argument("--out", help="write JSON here (TAUTSYS_OUT prefixes)")
 
     p = sub.add_parser("verify-periods",
                        help="residuals of the period data under its system")
+    p.set_defaults(handler=cmd_verify_periods)
     common(p)
     p.add_argument("--order", type=integer, default=10)
 
     p = sub.add_parser("fourier",
                        help="compare the transformed p=1 system with golden forms")
+    p.set_defaults(handler=cmd_fourier)
     common(p, with_p=False)
 
     p = sub.add_parser("membership", help="decide one divergence identity")
+    p.set_defaults(handler=cmd_membership)
     common(p, with_p=False, with_bound=False)
     p.add_argument("--point", help="comma separated rationals")
     p.add_argument("--fermat", action="store_true")
@@ -511,6 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--monomial", help="x-exponents, comma separated")
 
     p = sub.add_parser("scan", help="membership along a pencil of sections")
+    p.set_defaults(handler=cmd_scan)
     common(p, with_p=False, with_bound=False)
     query = p.add_mutually_exclusive_group()
     query.add_argument("--alpha")
@@ -519,39 +513,33 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="format base;direction;t1,t2,...")
 
     p = sub.add_parser("surjectivity", help="section multiplication spans")
+    p.set_defaults(handler=cmd_surjectivity)
     common(p, with_p=False, with_bound=False)
     p.add_argument("--k", type=integer, required=True)
     p.add_argument("--l", type=integer, required=True)
     p.add_argument("--filtration", type=integer)
 
     p = sub.add_parser("selftest", help="seeded property battery")
+    p.set_defaults(handler=cmd_selftest)
     p.add_argument("--seed", type=integer, default=0)
     return parser
 
 
-_HANDLERS = {
-    "build-system": cmd_build_system,
-    "verify-periods": cmd_verify_periods,
-    "fourier": cmd_fourier,
-    "membership": cmd_membership,
-    "scan": cmd_scan,
-    "surjectivity": cmd_surjectivity,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
+    """Run one command and write its report frame, the one place that does:
+    the header, the handler's body and one `verdict:` line, exit 0 or 1."""
     started = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
         _check_bounds(args)
-        lines, ok = _HANDLERS[args.command](args)
+        body, ok = args.handler(args)
     except (ValueError, OSError) as exc:
         # UsageError, ResourceBoundError and every other rejection of a
         # parameter are ValueErrors; invariant failures use other types
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("\n".join(lines))
+    print("\n".join(
+        [*_header(args), *body, f"verdict: {'PASS' if ok else 'FAIL'}"]))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
     return 0 if ok else 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import comb
 from operator import add, index, itemgetter
 
 from .exact import Rat, SparsePoly, exponents, multiset
@@ -259,12 +260,9 @@ def closed_form_series_p1(order: int) -> LaurentSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    terms: dict = {}
-    coeff = Fraction(1)
     zero_b = (0, 0, 0)
-    for k in range(order + 1):
-        terms[((-1 - 2 * k, k, k), zero_b)] = coeff
-        coeff = coeff * 2 * (2 * k + 1) / (k + 1)
+    terms = {((-1 - 2 * k, k, k), zero_b): comb(2 * k, k)
+             for k in range(order + 1)}
     return LaurentSeries(3, 0, terms, truncation=2 * order + 1)
 
 

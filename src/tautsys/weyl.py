@@ -32,7 +32,6 @@ from .series import LaurentSeries, _index, _raw_series
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-FAMILY_PAIRS = (("a", "b"), ("zeta", "xi"))
 DUAL_PAIR = {("a", "b"): ("zeta", "xi"), ("zeta", "xi"): ("a", "b")}
 
 

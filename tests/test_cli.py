@@ -213,7 +213,8 @@ def test_resource_bounds_rejected(capsys):
     "scan --d 1 --alpha e0 --line 0,1,1;1,0,0;0,1_0",
     "scan --d 1 --alpha e0 --line 0,1,1;\uff11,0,0;0,1",
     pytest.param("scan --d 1 --alpha e0 --line 0,1,1;1,0,0;" + ",".join(
-        map(str, range(981))), id="scan --d 1 --alpha e0 over 981 points"),
+        str(t % 100) for t in range(981)),
+        id="scan --d 1 --alpha e0 over 981 points"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
@@ -301,6 +302,16 @@ def test_readme_envelope_matches_the_table():
         key: (low, tautsys.cli.MAX_VERIFY_ORDER.get(key,
                                                     tautsys.cli.MAX_ORDER))
         for key, low in least.items()}
+
+
+def test_readme_states_the_rational_digit_bound():
+    """The README's grammar paragraph names the bound the parser keeps."""
+    readme = " ".join(
+        (pathlib.Path(__file__).parents[1] / "README.md").read_text().split())
+    bound = tautsys.cli.MAX_RATIONAL_DIGITS
+    assert (f"at most {bound} in the numerator and {bound} in the "
+            "denominator (`tautsys.cli.MAX_RATIONAL_DIGITS`)") in readme
+    assert f"The {bound}-digit bound on rationals" in readme
 
 
 def test_readme_lists_the_options_of_every_command():
@@ -423,6 +434,75 @@ def test_unparseable_alpha_rejected(capsys):
                            "--alpha", "bogus")
     assert code == 2
     assert "multi-index" in err
+
+
+AT_BOUND = "9" * tautsys.cli.MAX_RATIONAL_DIGITS
+OVER_BOUND = AT_BOUND + "9"
+#: entries outside the grammar: exponent, decimal, plus, hex and zero-den
+#: forms, and a numerator or denominator one digit over the bound
+BAD_ENTRIES = ["1e5", "2.5", "+1", "1.", "0x10", "1/0", OVER_BOUND,
+               f"-{OVER_BOUND}", f"1/{OVER_BOUND}", f"-{AT_BOUND}/1{AT_BOUND}"]
+#: the pencil 0,1,1;1,0,0;0,1,2 of `test_scan_pencil`, one part at a time
+LINE_PARTS = ["0,1,1", "1,0,0", "0,1,2"]
+
+
+def _line_with(entry, part):
+    parts = list(LINE_PARTS)
+    parts[part] = f"{entry},{parts[part].split(',', 1)[1]}"
+    return ";".join(parts)
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
+@pytest.mark.parametrize("where", ["point", "line 0", "line 1", "line 2"])
+def test_rational_grammar_rejects_other_forms(capsys, entry, where):
+    """A `--point` or `--line` entry is `num` or `num/den` in ASCII digits,
+    at most MAX_RATIONAL_DIGITS each; anything else is bad input."""
+    if where == "point":
+        argv = ["membership", "--d", "1", f"--point={entry},1,1",
+                "--alpha", "e0"]
+    else:
+        argv = ["scan", "--d", "1", "--alpha", "e0",
+                f"--line={_line_with(entry, int(where[-1]))}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse rational vector ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry, canonical", [
+    ("-3/4", "-3/4"), (" 2 ", "2"), ("0", "0"), ("-0/5", "0"),
+    (AT_BOUND, AT_BOUND), (f"-{AT_BOUND}/{AT_BOUND[:-1]}8",
+                           f"-{AT_BOUND}/{AT_BOUND[:-1]}8"),
+    (f"{AT_BOUND}/{AT_BOUND}", "1")])
+def test_rational_grammar_reads_num_and_num_over_den(capsys, entry,
+                                                     canonical):
+    """A read entry reports as its canonical form does, in the point and in
+    each part of a line."""
+    code, out, _ = run_cli(capsys, "membership", "--d", "1",
+                           f"--point={entry},1,1", "--alpha", "e0")
+    assert code == 0
+    assert f"point: {canonical},1,1\n" in out
+    for part in range(3):
+        if part == 1 and canonical == "0":
+            continue  # a zero direction is rejected by the library
+        read = run_cli(capsys, "scan", "--d", "1", "--alpha", "e0",
+                       f"--line={_line_with(entry, part)}")
+        plain = run_cli(capsys, "scan", "--d", "1", "--alpha", "e0",
+                        f"--line={_line_with(canonical, part)}")
+        assert read[0] == 0
+        assert _without_elapsed(*read) == _without_elapsed(*plain)
+
+
+def test_huge_exponent_entry_is_rejected_at_once(capsys):
+    """`Fraction` would expand 1e999999999 digit by digit; the grammar
+    refuses it before any number is made."""
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "membership", "--d", "1",
+                             "--point", "1e999999999,1,1", "--alpha", "e0")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_grlex_ordering_flag(capsys):

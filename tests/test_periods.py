@@ -12,6 +12,7 @@ from tautsys.periods import (closed_form_series_p1,
                              derivative_generating_series,
                              fermat_derivative_check_p1, period_series,
                              verify_annihilation)
+from tautsys.serialize import series_to_obj
 from tautsys.series import LaurentSeries
 from tautsys.systems import build_scalar_system, build_tautological_system
 
@@ -109,6 +110,21 @@ def test_closed_form_coefficients_are_central_binomials():
     for k in range(21):
         assert closed.terms[((-1 - 2 * k, k, k), zero_b)] == comb(2 * k, k)
     assert closed_form_series_p1(0).terms == {((-1, 0, 0), zero_b): 1}
+
+
+def test_closed_form_matches_the_ratio_recurrence():
+    """C(2k, k) by the ratio C(2k+2, k+1) / C(2k, k) = 2(2k+1) / (k+1) in
+    `Fraction`s gives the same series and the same JSON."""
+    zero_b = (0, 0, 0)
+    for order in range(31):
+        terms, coeff = {}, Fraction(1)
+        for k in range(order + 1):
+            terms[((-1 - 2 * k, k, k), zero_b)] = coeff
+            coeff = coeff * 2 * (2 * k + 1) / (k + 1)
+        ratio = LaurentSeries(3, 0, terms, truncation=2 * order + 1)
+        closed = closed_form_series_p1(order)
+        assert closed == ratio
+        assert series_to_obj(closed) == series_to_obj(ratio)
 
 
 def test_series_homogeneity(line, plane):

@@ -448,3 +448,47 @@ def test_lie_matrices_are_read_only_in_the_model():
              for node in ast.walk(_parse(path))
              if isinstance(node, ast.Attribute) and node.attr == "matrix"]
     assert found == []
+
+
+def _docstrings(tree):
+    """ids of the docstring nodes of a module and of its functions and
+    classes."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_cli_frame_and_registry_are_stated_once():
+    """Only `cli.main` writes the report frame: it alone calls `_header` and
+    holds a `verdict:` text.  Each subparser names its handler through
+    `set_defaults`, once, and no dict maps command names to handlers."""
+    cli = _parse(next(path for path in SOURCES if path.name == "cli.py"))
+    docstrings = _docstrings(cli)
+    frame = {}
+    for name, func in _methods(cli).items():
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "verdict:" in node.value
+                    and id(node) not in docstrings):
+                frame.setdefault("verdict:", set()).add(name)
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_header"):
+                frame.setdefault("_header", set()).add(name)
+    assert frame == {"verdict:": {"main"}, "_header": {"main"}}
+
+    handlers = {name for name in _methods(cli) if name.startswith("cmd_")}
+    named = [keyword.value.id for node in ast.walk(cli)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "set_defaults"
+             for keyword in node.keywords if keyword.arg == "handler"]
+    assert len(handlers) == 7
+    assert sorted(named) == sorted(handlers)
+    referenced = [node.id for node in ast.walk(cli)
+                  if isinstance(node, ast.Name) and node.id in handlers]
+    assert sorted(referenced) == sorted(named)
+    found = [node.lineno for node in ast.walk(cli)
+             if isinstance(node, ast.Dict)
+             and any(isinstance(value, ast.Name) and value.id in handlers
+                     for value in node.values)]
+    assert found == []
